@@ -16,6 +16,7 @@ failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.cluster.automation import DatacenterAutomation
@@ -54,6 +55,9 @@ from repro.sim.failures import BernoulliFailureModel, FailureInjector, MtbfFailu
 from repro.sim.latency import LatencyModel, LogNormalTailLatency
 from repro.sim.rng import RngRegistry
 from repro.smc.registry import ServiceDiscovery
+
+#: Distinct SQL texts :meth:`CubrickDeployment.compile_sql` remembers.
+STATEMENT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,14 @@ class CubrickDeployment:
         )
         if cfg.result_cache_capacity > 0:
             self.proxy.result_cache = QueryResultCache(cfg.result_cache_capacity)
+        from repro.cubrick.sql import parse_query
+
+        # Statement cache: SQL text -> compiled Query. Compilation reads
+        # no catalog, so the memo can never go stale; a statement that
+        # raises is not remembered.
+        self._compile_statement = lru_cache(maxsize=STATEMENT_CACHE_SIZE)(
+            parse_query
+        )
         self.automation = DatacenterAutomation(
             self.simulator,
             self.cluster,
@@ -447,11 +459,11 @@ class CubrickDeployment:
         and the serving gateway in front of it) schedules ``Query``
         objects, so SQL submitted there is compiled up front — errors
         (syntax, unknown table) surface at submission time, before the
-        query consumes a queue slot.
+        query consumes a queue slot. Dashboards replay the same few
+        statements, so the compiled form is memoised by SQL text (a
+        bounded LRU); the table check still runs on every call.
         """
-        from repro.cubrick.sql import parse_query
-
-        query = parse_query(statement)
+        query = self._compile_statement(statement)
         self.catalog.get(query.table)  # raises TableNotFoundError early
         return query
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -231,6 +232,17 @@ class Query:
         names = set(self.group_by)
         names.update(f.dimension for f in self.filters)
         return {n for n in names if "." in n}
+
+    @cached_property
+    def plan_key(self) -> str:
+        """Canonical SQL rendering: the normalised plan text caches key on.
+
+        Rendered once per object (a query is immutable); structurally
+        identical queries built through different paths render alike.
+        """
+        from repro.cubrick.sql import render_query
+
+        return render_query(self)
 
 
 def kernel_family(query: Query) -> str:

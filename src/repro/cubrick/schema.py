@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import InvalidTableNameError, SchemaError
+from repro.errors import InvalidTableNameError, SchemaError, TableNotFoundError
 
 PARTITION_SEPARATOR = "#"
 
@@ -300,8 +300,6 @@ class Catalog:
         return info
 
     def get(self, name: str) -> TableInfo:
-        from repro.errors import TableNotFoundError
-
         try:
             return self.tables[name]
         except KeyError:
@@ -316,8 +314,6 @@ class Catalog:
         raise TableNotFoundError(f"unknown table: {name}") from None
 
     def drop(self, name: str) -> None:
-        from repro.errors import TableNotFoundError
-
         if name not in self.tables:
             raise TableNotFoundError(f"unknown table: {name}")
         del self.tables[name]

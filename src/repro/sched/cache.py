@@ -14,6 +14,12 @@ want the memory back immediately.
 The normalised plan is the canonical SQL rendering from
 :mod:`repro.cubrick.sql` — two structurally identical queries built
 through different code paths share one cache line.
+
+An entry may also carry an *encoded* form of its answer
+(:attr:`CacheEntry.wire`): the serving tier encodes a hit's response
+body once and keeps the bytes here, on the entry, so the versioned key
+that protects the result protects the bytes too and both leave the
+cache together.
 """
 
 from __future__ import annotations
@@ -45,9 +51,19 @@ class CacheStats:
 
 def plan_key(query: "Query") -> str:
     """Normalised plan text for one query (canonical SQL rendering)."""
-    from repro.cubrick.sql import render_query
+    return query.plan_key
 
-    return render_query(query)
+
+class CacheEntry:
+    """One cached snapshot and, beside it, its encoded response body."""
+
+    __slots__ = ("result", "wire")
+
+    def __init__(self, result: "QueryResult"):
+        #: The cache's own snapshot: read-only for everyone else.
+        self.result = result
+        #: Encoded response body, set by the serving tier on first use.
+        self.wire: Optional[bytes] = None
 
 
 class QueryResultCache:
@@ -58,8 +74,8 @@ class QueryResultCache:
             raise ConfigurationError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        # key -> QueryResult snapshot; key embeds both generations.
-        self._entries: "OrderedDict[tuple, QueryResult]" = OrderedDict()
+        # key -> snapshot entry; key embeds both generations.
+        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,6 +83,27 @@ class QueryResultCache:
     @staticmethod
     def _key(table: str, plan: str, generation: int, ingest_generation: int) -> tuple:
         return (table, generation, ingest_generation, plan)
+
+    def lookup(
+        self,
+        query: "Query",
+        *,
+        generation: int,
+        ingest_generation: int,
+    ) -> Optional[CacheEntry]:
+        """The entry for this plan at these versions, or None.
+
+        The entry is the cache's own: callers read ``entry.result`` and
+        may fill ``entry.wire``, nothing else.
+        """
+        key = self._key(query.table, plan_key(query), generation, ingest_generation)
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return entry
 
     def get(
         self,
@@ -81,14 +118,10 @@ class QueryResultCache:
         (latency accounting, attempt counts) and must never corrupt the
         cached snapshot.
         """
-        key = self._key(query.table, plan_key(query), generation, ingest_generation)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return self._copy(entry)
+        entry = self.lookup(
+            query, generation=generation, ingest_generation=ingest_generation
+        )
+        return None if entry is None else self._copy(entry.result)
 
     def put(
         self,
@@ -107,7 +140,7 @@ class QueryResultCache:
         if result.metadata.get("partial") or result.metadata.get("degraded"):
             return
         key = self._key(query.table, plan_key(query), generation, ingest_generation)
-        self._entries[key] = self._copy(result)
+        self._entries[key] = CacheEntry(self._copy(result))
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

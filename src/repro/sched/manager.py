@@ -27,6 +27,7 @@ what you admitted, or admit everything and break it for everyone.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -36,7 +37,7 @@ from repro.sched.admission import (
     AdaptiveShedder,
     AdmissionControllerV2,
 )
-from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache
+from repro.sched.cache import CACHE_HIT_LATENCY, CacheEntry, QueryResultCache
 from repro.sched.queue import (
     OUTCOME_OK,
     ExecutorQueue,
@@ -110,8 +111,11 @@ class JobRecord:
     error: Optional[str] = None
     #: The answer itself (cache hit or fresh execution). The serving
     #: tier returns it to clients; simulation-side consumers that only
-    #: tally outcomes can keep ignoring it.
+    #: tally outcomes can keep ignoring it. On a cache hit it is the
+    #: cache's own snapshot (``cache_entry.result``): read-only.
     result: Optional["QueryResult"] = None
+    #: The cache entry that answered a ``cache_hit``, else None.
+    cache_entry: Optional[CacheEntry] = None
 
     @property
     def admitted(self) -> bool:
@@ -176,10 +180,25 @@ class WorkloadManager:
                     self.policy.cache_capacity
                 )
             self.cache = deployment.proxy.result_cache
-        self.records: list[JobRecord] = []
+        #: Every record, in submission order — unless a long-running
+        #: caller bounded it with :meth:`retain_recent`.
+        self.records: "list[JobRecord] | deque[JobRecord]" = []
+        self._submitted = 0
         self._outstanding = 0
-        self._sla_ok = self.obs.metrics.counter("repro.sched.sla", outcome="ok")
-        self._sla_miss = self.obs.metrics.counter("repro.sched.sla", outcome="miss")
+        # Counters of the per-query path, bound once instead of looked
+        # up by (name, labels) on every submission — and only for the
+        # stages this policy has, so exports list no counter of a stage
+        # that does not exist.
+        metrics = self.obs.metrics
+        self._sla_ok = metrics.counter("repro.sched.sla", outcome="ok")
+        self._sla_miss = metrics.counter("repro.sched.sla", outcome="miss")
+        if self.cache is not None:
+            self._cache_hit = metrics.counter("repro.sched.cache", outcome="hit")
+            self._cache_miss = metrics.counter("repro.sched.cache", outcome="miss")
+        if self.admission is not None:
+            self._admitted = metrics.counter(
+                "repro.sched.admission", reason=REASON_OK
+            )
 
     # ------------------------------------------------------------------
     # Signals
@@ -195,10 +214,18 @@ class WorkloadManager:
 
     def admitted_success_ratio(self) -> float:
         """SLA-met fraction of admitted (queued or cache-served) queries."""
-        admitted = [r for r in self.records if r.admitted]
-        if not admitted:
-            return 1.0
-        return sum(1 for r in admitted if r.sla_ok) / len(admitted)
+        met, missed = self._sla_ok.value, self._sla_miss.value
+        return met / (met + missed) if met + missed else 1.0
+
+    def retain_recent(self, limit: int) -> None:
+        """Keep only the ``limit`` most recent records from now on.
+
+        Finite experiments read every record back; a server that runs
+        until it is told to stop must not grow with its request count.
+        """
+        if limit <= 0:
+            raise ConfigurationError(f"record limit must be positive: {limit}")
+        self.records = deque(self.records, maxlen=limit)
 
     # ------------------------------------------------------------------
     # Submission
@@ -221,34 +248,34 @@ class WorkloadManager:
         """
         now = self.deployment.simulator.now
         record = JobRecord(
-            index=len(self.records),
+            index=self._submitted,
             tenant=tenant,
             priority=priority,
             table=query.table,
             submitted=now,
         )
+        self._submitted += 1
         self.records.append(record)
 
         if self.cache is not None:
             info = self.deployment.catalog.get(query.table)
-            hit = self.cache.get(
+            entry = self.cache.lookup(
                 query,
                 generation=info.generation,
                 ingest_generation=info.ingest_generation,
             )
-            if hit is not None:
+            if entry is not None:
                 record.outcome = "cache_hit"
-                record.result = hit
+                record.cache_entry = entry
+                record.result = entry.result
                 record.latency = CACHE_HIT_LATENCY
                 record.sla_ok = True
                 self._sla_ok.inc()
-                self.obs.metrics.counter(
-                    "repro.sched.cache", outcome="hit"
-                ).inc()
+                self._cache_hit.inc()
                 if on_done is not None:
                     on_done(record)
                 return record
-            self.obs.metrics.counter("repro.sched.cache", outcome="miss").inc()
+            self._cache_miss.inc()
 
         if self.admission is not None:
             decision = self.admission.decide(now, tenant=tenant, priority=priority)
@@ -258,9 +285,7 @@ class WorkloadManager:
                 if on_done is not None:
                     on_done(record)
                 return record
-            self.obs.metrics.counter(
-                "repro.sched.admission", reason=REASON_OK
-            ).inc()
+            self._admitted.inc()
 
         queue_name = self._queue_order[self._next_queue % len(self._queue_order)]
         self._next_queue += 1

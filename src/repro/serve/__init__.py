@@ -7,8 +7,9 @@ queries onto SQL compilation, admission v2, the result cache, executor
 queues and coordinator fan-out, all still running on virtual time. The
 clock domains meet in exactly two places — the anchored
 :class:`~repro.serve.clock.RealTimeClock` (the single sanctioned
-TID251 wall-clock boundary) and the gateway's event-loop pump that
-drives ``simulator.run_until(clock.now())``.
+TID251 wall-clock boundary) and the gateway's
+``simulator.run_until(clock.now())``, called when a request arrives and
+when its event-driven pump timer fires.
 
 ``repro bench-serve`` (:mod:`repro.serve.bench`) is the closed-loop
 harness that measures the whole thing end to end: N concurrent clients

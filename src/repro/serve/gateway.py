@@ -12,25 +12,36 @@ Two clock domains, one axis
 
 Everything below the gateway reads ``simulator.now``. The gateway owns
 a :class:`~repro.serve.clock.RealTimeClock` anchored at the warmed-up
-deployment's virtual time and runs an **event-loop pump**: a background
-task that repeatedly advances ``simulator.run_until(clock.now())``, so
-virtual time tracks real time and queued query completions fire at
-(approximately) the real moment they were simulated for. The pump
-sleeps until the earlier of the next DES event
-(:attr:`~repro.sim.engine.Simulator.next_event_time`) and a fixed
-heartbeat, and is woken immediately when a submission enqueues new
-work — no busy polling, no added latency floor beyond the heartbeat.
+deployment's virtual time and brings the simulator up to it
+(``simulator.run_until(clock())``) at two moments only: when a request
+arrives, before anything reads virtual time, and when the **pump**
+fires — one event-loop timer armed at the earliest queued DES event
+(:attr:`~repro.sim.engine.Simulator.next_event_time`), re-armed by
+whatever can queue an earlier one (a submission left pending, a load).
+Completions fire at the real moment they were simulated for, and an
+idle gateway costs nothing.
+
+Two paths, one submission
+-------------------------
+
+Every query is one ``WorkloadManager.submit``. One that resolves on the
+spot — a cache hit, a rejection — is answered by the connection's read
+loop in place: a hit is a statement-cache lookup, a result-cache lookup
+and a splice of the request id into response bytes encoded once and
+kept on the cache entry. Only a submission left pending gets a future,
+a task and a place in the coalescing map.
 
 Backpressure and loss
 ---------------------
 
 * **Per-connection in-flight window** — each connection may have at
-  most ``max_inflight`` requests being processed; at the limit the
+  most ``max_inflight`` requests waiting on the fleet; at the limit the
   gateway simply stops reading frames from that socket, which
   propagates as TCP backpressure to the client.
-* **Slow-client write timeout** — a response write that cannot drain
-  within ``write_timeout`` real seconds drops the connection (the
-  request itself was still processed and counted).
+* **Slow-client write timeout** — a client whose unread responses fill
+  the transport's write buffer gets ``write_timeout`` real seconds to
+  catch up, then is disconnected (its request was still processed and
+  its response counted as dropped).
 * **Coalescing** — identical in-flight queries (same canonical plan,
   same table generations, same tenant and priority) attach to the
   leader's execution instead of re-running it.
@@ -43,7 +54,7 @@ Backpressure and loss
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from repro.cubrick.query import AggFunc, Aggregation, Filter, FilterOp, Query
@@ -63,16 +74,21 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
     ProtocolError,
-    error_response,
+    encode_body,
+    error_frame,
     jsonable,
-    ok_response,
+    ok_frame,
     read_frame,
+    result_frame,
     write_frame,
 )
 
 #: JobRecord outcomes that mean "admission said no", reported to the
 #: client as one typed ``rejected`` error with the outcome as reason.
 REJECT_OUTCOMES = ("shed", "quota", "tenant_quota", "queue_full", "deadline")
+
+#: JobRecords a running gateway keeps (the most recent ones).
+RECENT_RECORDS = 1024
 
 
 def parse_priority(name: object) -> PriorityClass:
@@ -145,7 +161,9 @@ def query_from_spec(spec: dict) -> Query:
     ):
         raise QueryError(f"group_by must be a list of column names: {group_by!r}")
     limit = spec.get("limit")
-    if limit is not None and not isinstance(limit, int):
+    if limit is not None and (
+        isinstance(limit, bool) or not isinstance(limit, int)
+    ):
         raise QueryError(f"limit must be an integer: {limit!r}")
     order_by = spec.get("order_by")
     if order_by is not None and not isinstance(order_by, str):
@@ -167,6 +185,8 @@ class GatewayStats:
 
     connections_total: int = 0
     connections_open: int = 0
+    #: Frames that were owed an answer, malformed ones included. Once
+    #: drained, ``requests_total == responses_total + dropped_responses``.
     requests_total: int = 0
     responses_total: int = 0
     #: Typed error frames sent for wire-level violations.
@@ -183,28 +203,7 @@ class GatewayStats:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
     def snapshot(self) -> dict:
-        return {
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "requests_total": self.requests_total,
-            "responses_total": self.responses_total,
-            "protocol_errors": self.protocol_errors,
-            "rejected": dict(sorted(self.rejected.items())),
-            "coalesced": self.coalesced,
-            "dropped_responses": self.dropped_responses,
-            "internal_errors": self.internal_errors,
-        }
-
-
-class _Connection:
-    """Per-connection write serialisation + in-flight window."""
-
-    __slots__ = ("writer", "write_lock", "inflight")
-
-    def __init__(self, writer: asyncio.StreamWriter, max_inflight: int):
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.inflight = asyncio.Semaphore(max_inflight)
+        return {**asdict(self), "rejected": dict(sorted(self.rejected.items()))}
 
 
 class ServeGateway:
@@ -220,18 +219,10 @@ class ServeGateway:
         max_inflight: int = 32,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         write_timeout: float = 5.0,
-        pump_interval: float = 0.005,
-        coalesce: bool = True,
         metrics_path: Optional[str] = None,
     ):
         if max_inflight <= 0:
-            raise ConfigurationError(
-                f"max_inflight must be positive: {max_inflight}"
-            )
-        if pump_interval <= 0:
-            raise ConfigurationError(
-                f"pump_interval must be positive: {pump_interval}"
-            )
+            raise ConfigurationError(f"max_inflight must be positive: {max_inflight}")
         self.serving = serving
         self.manager = serving.manager
         self.deployment = serving.deployment
@@ -239,26 +230,24 @@ class ServeGateway:
         self.obs = serving.obs
         self._host = host
         self._port = port
-        self._injected_clock = clock
         self.clock: Optional[Callable[[], float]] = clock
         self.max_inflight = max_inflight
         self.max_frame_bytes = max_frame_bytes
         self.write_timeout = write_timeout
-        self.pump_interval = pump_interval
-        self.coalesce = coalesce
         self.metrics_path = metrics_path
         self.stats = GatewayStats()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._wake = asyncio.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._pump_timer: Optional[asyncio.TimerHandle] = None
         self._draining = False
         self._stopped = asyncio.Event()
         self._pending = 0
         #: Coalescing map: (plan, generation, ingest_generation, tenant,
-        #: priority) → the leader's pending JobRecord future. Generations
-        #: in the key guarantee a request arriving after a load can never
-        #: attach to a pre-load execution.
+        #: priority) → the leader's pending JobRecord future.
         self._inflight_queries: dict[tuple, asyncio.Future] = {}
+        #: JobRecord.index → (coalescing key, future) of every pending
+        #: submission; ``_resolve`` settles both maps in one step.
+        self._waiters: dict[int, tuple[tuple, asyncio.Future]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,7 +264,7 @@ class ServeGateway:
 
     @property
     def pending(self) -> int:
-        """Accepted requests not yet answered (the drain invariant)."""
+        """Accepted requests still waiting on the fleet (the drain invariant)."""
         return self._pending
 
     @property
@@ -283,21 +272,23 @@ class ServeGateway:
         return self._draining
 
     async def start(self) -> tuple[str, int]:
-        """Bind the listener, anchor the clock, start the pump."""
+        """Bind the listener, anchor the clock, arm the pump."""
         if self._server is not None:
             raise ConfigurationError("gateway already started")
         if self.clock is None:
             # Anchor real time at the warmed-up deployment's virtual
             # time: from here on, the two clocks share one axis.
             self.clock = RealTimeClock(start=self.simulator.now)
+        # From here on the manager serves an open-ended request stream:
+        # its per-request memory must not grow with it.
+        self.manager.retain_recent(RECENT_RECORDS)
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
-        self._pump_task = asyncio.ensure_future(self._pump())
+        self._arm_pump()
         host, port = self.address
-        self.obs.events.emit(
-            "repro.serve.started", host=host, port=port,
-        )
+        self.obs.events.emit("repro.serve.started", host=host, port=port)
         return host, port
 
     async def serve_forever(self) -> None:
@@ -317,19 +308,13 @@ class ServeGateway:
         self._draining = True
         if first:
             self.obs.events.emit("repro.serve.draining", pending=self._pending)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        drained = True
-        remaining = timeout
-        step = min(0.01, self.pump_interval)
-        while self._pending > 0:
-            if remaining <= 0:
-                drained = False
-                break
-            await asyncio.sleep(step)
-            remaining -= step
-        await self._stop_pump()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        await self._close_listener()
+        while self._pending > 0 and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        drained = self._pending == 0
+        self._stop_pump()
         self.obs.events.emit(
             "repro.serve.drained", clean=drained, pending=self._pending
         )
@@ -339,20 +324,14 @@ class ServeGateway:
 
     async def close(self) -> None:
         """Hard stop (tests/cleanup): no drain guarantee."""
+        await self._close_listener()
+        self._stop_pump()
+        self._stopped.set()
+
+    async def _close_listener(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self._stop_pump()
-        self._stopped.set()
-
-    async def _stop_pump(self) -> None:
-        task, self._pump_task = self._pump_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
 
     def _flush_metrics(self) -> None:
         if self.metrics_path is None:
@@ -365,38 +344,47 @@ class ServeGateway:
         """SIGTERM/SIGINT → graceful drain (POSIX event loops)."""
         import signal
 
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(
                 sig, lambda: asyncio.ensure_future(self.drain())
             )
 
     # ------------------------------------------------------------------
-    # The event-loop pump
+    # The event-driven pump
     # ------------------------------------------------------------------
 
-    async def _pump(self) -> None:
-        """Advance the DES so virtual time tracks the real clock.
+    def _advance(self) -> None:
+        """Bring virtual time up to the real clock, running what is due."""
+        target = self.clock()
+        if target > self.simulator.now:
+            self.simulator.run_until(target)
 
-        Runs the simulator up to ``clock.now()`` each tick, then sleeps
-        until the next queued event is due (or the heartbeat, whichever
-        is sooner). A submission wakes it immediately via ``_wake``.
+    def _arm_pump(self) -> None:
+        """(Re-)arm the one pump timer at the earliest queued DES event.
+
+        Called by whatever may have queued an earlier event than the one
+        the timer waits for: the pump itself, a submission left pending,
+        a load. Events only ever queue later events, so nothing else can.
         """
-        while True:
-            target = self.clock()
-            if target > self.simulator.now:
-                self.simulator.run_until(target)
-            next_event = self.simulator.next_event_time
-            delay = self.pump_interval
-            if next_event is not None:
-                delay = min(delay, max(next_event - self.clock(), 0.0))
-            try:
-                await asyncio.wait_for(
-                    self._wake.wait(), timeout=max(delay, 1e-4)
-                )
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
+        self._stop_pump()
+        due = self.simulator.next_event_time
+        if due is not None:
+            self._pump_timer = self._loop.call_later(
+                max(due - self.clock(), 0.0), self._pump
+            )
+
+    def _pump(self) -> None:
+        try:
+            self._advance()
+        finally:
+            # A faulty event is the loop's to report, not the pump's to die of.
+            self._arm_pump()
+
+    def _stop_pump(self) -> None:
+        if self._pump_timer is not None:
+            self._pump_timer.cancel()
+            self._pump_timer = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -405,9 +393,9 @@ class ServeGateway:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.connections_total += 1
-        self.stats.connections_open += 1
-        conn = _Connection(writer, self.max_inflight)
+        stats = self.stats
+        stats.connections_total += 1
+        stats.connections_open += 1
         tasks: set[asyncio.Task] = set()
         try:
             while True:
@@ -418,105 +406,123 @@ class ServeGateway:
                 except ConnectionClosed:
                     break
                 except ProtocolError as exc:
-                    self.stats.protocol_errors += 1
-                    try:
-                        await self._send(
-                            conn, error_response(None, exc.code, str(exc))
-                        )
-                    except ConnectionClosed:
-                        break
-                    if not exc.recoverable:
-                        break
-                    continue
-                self.stats.requests_total += 1
-                if self._draining:
-                    try:
-                        await self._send(
-                            conn,
-                            error_response(
-                                msg.get("id"),
-                                "shutting_down",
-                                "gateway is draining",
-                            ),
-                        )
+                    stats.requests_total += 1
+                    stats.protocol_errors += 1
+                    frame = error_frame(None, exc.code, str(exc))
+                    if await self._send(writer, frame) and exc.recoverable:
                         continue
-                    except ConnectionClosed:
-                        break
-                # Backpressure: at the window limit this await parks the
-                # read loop, so the kernel's receive buffer (and then the
-                # client's send path) absorbs the excess.
-                await conn.inflight.acquire()
+                    break
+                stats.requests_total += 1
+                answer = self._dispatch(msg)
+                if type(answer) is bytes:
+                    # Fast path: resolved without waiting on the fleet,
+                    # answered in place — no task, no future.
+                    if await self._send(writer, answer):
+                        continue
+                    break
                 self._pending += 1
-                task = asyncio.ensure_future(self._process(conn, msg))
+                task = asyncio.ensure_future(
+                    self._answer_later(writer, msg.get("id"), *answer)
+                )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                # Backpressure: at the window limit the read loop parks
+                # here, so the kernel's receive buffer (and then the
+                # client's send path) absorbs the excess.
+                while len(tasks) >= self.max_inflight:
+                    await asyncio.wait(
+                        tasks, return_when=asyncio.FIRST_COMPLETED
+                    )
         finally:
             # A mid-request disconnect leaves tasks running; they finish
             # (keeping the drain invariant exact) and count their
             # response as dropped when the write fails.
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            self.stats.connections_open -= 1
+            stats.connections_open -= 1
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _send(self, conn: _Connection, obj: dict) -> None:
-        async with conn.write_lock:
-            await write_frame(
-                conn.writer, obj, timeout=self.write_timeout
-            )
+    async def _send(self, writer: asyncio.StreamWriter, frame: bytes) -> bool:
+        """Write one response frame: the one place responses are counted.
 
-    async def _process(self, conn: _Connection, msg: dict) -> None:
+        False means the client is gone or too slow to be served: the
+        response counts as dropped and the connection is aborted, which
+        ends its read loop.
+        """
         try:
-            response = await self._dispatch(msg)
-        except Exception as exc:  # never kill the connection for a bug
-            self.stats.internal_errors += 1
-            response = error_response(
-                msg.get("id"), "internal", f"{type(exc).__name__}: {exc}"
-            )
-        try:
-            await self._send(conn, response)
-            self.stats.responses_total += 1
+            await write_frame(writer, frame, timeout=self.write_timeout)
         except ConnectionClosed:
             self.stats.dropped_responses += 1
+            writer.transport.abort()
+            return False
+        self.stats.responses_total += 1
+        return True
+
+    async def _answer_later(
+        self,
+        writer: asyncio.StreamWriter,
+        rid: object,
+        future: "asyncio.Future[JobRecord]",
+        coalesced: bool,
+    ) -> None:
+        """Miss path: wait for the fleet to resolve the record, answer."""
+        try:
+            try:
+                frame = self._record_frame(rid, await future, coalesced)
+            except Exception as exc:  # never kill the connection for a bug
+                frame = self._internal_error(rid, exc)
+            await self._send(writer, frame)
         finally:
             self._pending -= 1
-            conn.inflight.release()
+
+    def _internal_error(self, rid: object, exc: Exception) -> bytes:
+        self.stats.internal_errors += 1
+        return error_frame(rid, "internal", f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, msg: dict) -> dict:
+    def _dispatch(
+        self, msg: dict
+    ) -> "bytes | tuple[asyncio.Future[JobRecord], bool]":
+        """Answer one request: its response frame or, when it has to
+        wait for the fleet, ``(future of its record, coalesced)``."""
         rid = msg.get("id")
-        op = msg.get("op")
-        if op == "ping":
-            return ok_response(
-                rid, {"pong": True, "time": self.simulator.now}
+        if self._draining:
+            return error_frame(rid, "shutting_down", "gateway is draining")
+        try:
+            # Virtual time must not be stale when admission, deadlines
+            # or ``record.submitted`` read it.
+            self._advance()
+            op = msg.get("op")
+            if op == "sql" or op == "query":
+                return self._handle_query(rid, op, msg)
+            if op == "ping":
+                return ok_frame(rid, {"pong": True, "time": self.simulator.now})
+            if op == "stats":
+                return ok_frame(rid, self.snapshot())
+            if op == "load":
+                return self._handle_load(rid, msg)
+            if op == "invalidate":
+                return self._handle_invalidate(rid, msg)
+            return error_frame(
+                rid,
+                "unknown_op",
+                f"unknown op {op!r} (known: ping, stats, load, invalidate, sql, query)",
             )
-        if op == "stats":
-            return ok_response(rid, self.snapshot())
-        if op == "load":
-            return self._handle_load(rid, msg)
-        if op == "invalidate":
-            return self._handle_invalidate(rid, msg)
-        if op in ("sql", "query"):
-            return await self._handle_query(rid, op, msg)
-        return error_response(
-            rid,
-            "unknown_op",
-            f"unknown op {op!r} "
-            "(known: ping, stats, load, invalidate, sql, query)",
-        )
+        except Exception as exc:  # never kill the connection for a bug
+            return self._internal_error(rid, exc)
 
-    def _handle_load(self, rid: object, msg: dict) -> dict:
+    def _handle_load(self, rid: object, msg: dict) -> bytes:
         table = msg.get("table")
         rows = msg.get("rows")
         if not isinstance(table, str) or not isinstance(rows, list):
-            return error_response(
+            return error_frame(
                 rid, "bad_request", "load needs a table name and a rows list"
             )
         try:
@@ -524,42 +530,39 @@ class ServeGateway:
                 {str(k): float(v) for k, v in row.items()} for row in rows
             ]
         except (AttributeError, TypeError, ValueError):
-            return error_response(
-                rid, "bad_request",
-                "load rows must be objects of numeric columns",
+            return error_frame(
+                rid, "bad_request", "load rows must be objects of numeric columns"
             )
         try:
             loaded = self.deployment.load(table, coerced)
         except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
+            return error_frame(rid, "table_not_found", str(exc))
         except ReproError as exc:
-            return error_response(rid, "bad_request", str(exc))
+            return error_frame(rid, "bad_request", str(exc))
+        self._arm_pump()
         info = self.deployment.catalog.get(table)
-        return ok_response(
+        return ok_frame(
             rid,
-            {
-                "rows_loaded": loaded,
-                "ingest_generation": info.ingest_generation,
-            },
+            {"rows_loaded": loaded, "ingest_generation": info.ingest_generation},
         )
 
-    def _handle_invalidate(self, rid: object, msg: dict) -> dict:
+    def _handle_invalidate(self, rid: object, msg: dict) -> bytes:
         table = msg.get("table")
         if not isinstance(table, str):
-            return error_response(
-                rid, "bad_request", "invalidate needs a table name"
-            )
+            return error_frame(rid, "bad_request", "invalidate needs a table name")
         try:
             self.deployment.catalog.get(table)
         except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
+            return error_frame(rid, "table_not_found", str(exc))
         dropped = 0
         cache = self.deployment.proxy.result_cache
         if cache is not None:
             dropped = cache.invalidate_table(table)
-        return ok_response(rid, {"invalidated": dropped})
+        return ok_frame(rid, {"invalidated": dropped})
 
-    async def _handle_query(self, rid: object, op: str, msg: dict) -> dict:
+    def _handle_query(
+        self, rid: object, op: str, msg: dict
+    ) -> "bytes | tuple[asyncio.Future[JobRecord], bool]":
         tenant = msg.get("tenant")
         if tenant is not None:
             tenant = str(tenant)
@@ -568,102 +571,79 @@ class ServeGateway:
             if op == "sql":
                 statement = msg.get("sql")
                 if not isinstance(statement, str):
-                    return error_response(
+                    return error_frame(
                         rid, "bad_request", "sql op needs an sql string"
                     )
                 query = self.deployment.compile_sql(statement)
             else:
                 query = query_from_spec(msg)
+            info = self.deployment.catalog.get(query.table)
         except SqlError as exc:
-            return error_response(
-                rid, "sql", str(exc), context=exc.context()
-            )
+            return error_frame(rid, "sql", str(exc), context=exc.context())
         except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
+            return error_frame(rid, "table_not_found", str(exc))
         except QueryError as exc:
-            return error_response(rid, "bad_request", str(exc))
-        try:
-            self.deployment.catalog.get(query.table)
-        except TableNotFoundError as exc:
-            return error_response(rid, "table_not_found", str(exc))
+            return error_frame(rid, "bad_request", str(exc))
 
-        record, coalesced = await self._submit(query, tenant, priority)
-        return self._record_response(rid, record, coalesced)
+        # Coalescing: attach to an identical query already in flight.
+        # With nothing in flight there is no key worth building yet.
+        key = None
+        if self._inflight_queries:
+            key = _coalescing_key(query, info, tenant, priority)
+            leader = self._inflight_queries.get(key)
+            if leader is not None:
+                self.stats.coalesced += 1
+                return leader, True
+        record = self.manager.submit(
+            query, tenant=tenant, priority=priority, on_done=self._resolve
+        )
+        if record.outcome != "pending":
+            return self._record_frame(rid, record, False)
+        # Left pending: the DES completes it inside ``run_until`` — the
+        # same event loop, so ``_resolve`` may settle the future directly.
+        future = self._loop.create_future()
+        if key is None:
+            key = _coalescing_key(query, info, tenant, priority)
+        self._inflight_queries[key] = future
+        self._waiters[record.index] = (key, future)
+        self._arm_pump()
+        return future, False
 
-    # ------------------------------------------------------------------
-    # Submission bridge (asyncio ⇄ DES)
-    # ------------------------------------------------------------------
+    def _resolve(self, record: JobRecord) -> None:
+        """``on_done`` of every submission.
 
-    def _submit_future(
-        self,
-        query: Query,
-        tenant: Optional[str],
-        priority: PriorityClass,
-    ) -> "asyncio.Future[JobRecord]":
-        """One real submission; resolves when the DES completes the job.
-
-        ``on_done`` fires either synchronously (cache hit, rejection) or
-        later inside ``simulator.run_until`` on the pump task — the same
-        event loop either way, so resolving the future directly is safe.
+        Inside ``submit`` (cache hit, rejection) nobody waits yet: the
+        read loop answers from the record it gets back.
         """
-        loop = asyncio.get_event_loop()
-        future: asyncio.Future = loop.create_future()
-
-        def on_done(record: JobRecord) -> None:
+        waiter = self._waiters.pop(record.index, None)
+        if waiter is not None:
+            key, future = waiter
+            del self._inflight_queries[key]
             if not future.done():
                 future.set_result(record)
 
-        self.manager.submit(
-            query, tenant=tenant, priority=priority, on_done=on_done
-        )
-        # New DES events exist (or an outcome resolved): pump now.
-        self._wake.set()
-        return future
-
-    async def _submit(
-        self,
-        query: Query,
-        tenant: Optional[str],
-        priority: PriorityClass,
-    ) -> tuple[JobRecord, bool]:
-        """Submit with coalescing; returns (record, was_coalesced)."""
-        if not self.coalesce:
-            return await self._submit_future(query, tenant, priority), False
-        info = self.deployment.catalog.get(query.table)
-        key = (
-            plan_key(query),
-            info.generation,
-            info.ingest_generation,
-            tenant,
-            priority,
-        )
-        existing = self._inflight_queries.get(key)
-        if existing is not None and not existing.done():
-            self.stats.coalesced += 1
-            return await existing, True
-        future = self._submit_future(query, tenant, priority)
-        self._inflight_queries[key] = future
-
-        def forget(fut: asyncio.Future) -> None:
-            if self._inflight_queries.get(key) is fut:
-                del self._inflight_queries[key]
-
-        future.add_done_callback(forget)
-        return await future, False
-
-    def _record_response(
+    def _record_frame(
         self, rid: object, record: JobRecord, coalesced: bool
-    ) -> dict:
+    ) -> bytes:
+        """The response frame for one resolved record.
+
+        A hit's body depends on its cache entry alone (hits are never
+        coalesced), so it is encoded once and kept on the entry: later
+        hits only splice their request id into it.
+        """
+        entry = record.cache_entry
+        if entry is not None and entry.wire is not None:
+            return result_frame(rid, entry.wire)
         if record.outcome in REJECT_OUTCOMES:
             self.stats.count_reject(record.outcome)
-            return error_response(
+            return error_frame(
                 rid,
                 "rejected",
                 f"admission control rejected the query: {record.outcome}",
                 reason=record.outcome,
             )
         if record.outcome == "failed" or record.result is None:
-            return error_response(
+            return error_frame(
                 rid,
                 "query_failed",
                 record.error or "query execution failed",
@@ -687,7 +667,10 @@ class ServeGateway:
             payload["completeness"] = float(
                 metadata.get("completeness", 0.0)
             )
-        return ok_response(rid, payload)
+        body = encode_body(payload)
+        if entry is not None:
+            entry.wire = body
+        return result_frame(rid, body)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -706,3 +689,11 @@ class ServeGateway:
                 "misses": cache.stats.misses,
             }
         return out
+
+
+def _coalescing_key(query: Query, info, tenant, priority) -> tuple:
+    """Generations in the key guarantee a request arriving after a load
+    can never attach to a pre-load execution."""
+    return (
+        plan_key(query), info.generation, info.ingest_generation, tenant, priority
+    )

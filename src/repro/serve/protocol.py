@@ -85,9 +85,33 @@ class ConnectionClosed(ReproError):
     """The peer closed the connection (clean or mid-frame)."""
 
 
+#: The one JSON encoding of the wire: compact, keys sorted.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def encode_body(obj: object) -> bytes:
+    """Serialise one JSON-able object into a frame body (no header)."""
+    return _ENCODER.encode(obj).encode()
+
+
 def encode_frame(obj: object) -> bytes:
     """Serialise one JSON-able object into a length-prefixed frame."""
-    payload = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
+    payload = encode_body(obj)
+    return HEADER.pack(len(payload)) + payload
+
+
+def result_frame(request_id: object, result_body: bytes) -> bytes:
+    """The frame of ``ok_response(request_id, result)`` given the
+    already-encoded ``result``.
+
+    Byte-identical to ``encode_frame(ok_response(request_id, result))``
+    when ``result_body == encode_body(result)``: sorted keys put ``id``,
+    ``ok``, ``result`` in exactly this order. A result encoded once can
+    thus answer any number of requests, whatever their ids.
+    """
+    # Plain integers, the usual id, need no encoder to print them.
+    rid = b"%d" % request_id if type(request_id) is int else encode_body(request_id)
+    payload = b'{"id":%b,"ok":true,"result":%b}' % (rid, result_body)
     return HEADER.pack(len(payload)) + payload
 
 
@@ -142,6 +166,14 @@ def error_response(
     return {"id": request_id, "ok": False, "error": error}
 
 
+def ok_frame(request_id: object, result: dict) -> bytes:
+    return encode_frame(ok_response(request_id, result))
+
+
+def error_frame(request_id: object, code: str, message: str, **extra: object) -> bytes:
+    return encode_frame(error_response(request_id, code, message, **extra))
+
+
 def jsonable(value: object) -> object:
     """Coerce result payloads (numpy scalars, tuples) into plain JSON.
 
@@ -168,21 +200,26 @@ def jsonable(value: object) -> object:
 
 async def write_frame(
     writer: asyncio.StreamWriter,
-    obj: object,
+    frame: bytes,
     *,
     timeout: Optional[float] = None,
 ) -> None:
-    """Write one frame and drain, with an optional slow-client timeout.
+    """Write one encoded frame; wait only for a peer that is behind.
+
+    The transport takes the bytes at once. Only when its write buffer
+    stands above the high-water mark — the peer reads slower than it is
+    answered — is ``drain`` awaited, for at most ``timeout`` seconds.
 
     Raises :class:`ConnectionClosed` when the peer is gone or cannot
     keep up (``asyncio.TimeoutError`` on drain) — the caller decides
     whether to drop the connection.
     """
+    transport = writer.transport
+    if transport.is_closing():
+        raise ConnectionClosed("peer closed the connection")
     try:
-        writer.write(encode_frame(obj))
-        if timeout is None:
-            await writer.drain()
-        else:
+        writer.write(frame)
+        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
             await asyncio.wait_for(writer.drain(), timeout=timeout)
     except asyncio.TimeoutError:
         raise ConnectionClosed("slow client: write timed out") from None

@@ -13,7 +13,11 @@ it down from both ends:
 * an asyncio stress test against a live gateway: concurrent closed-loop
   readers racing a writer, asserting that no response ever reflects
   less data than had been acknowledged as loaded before the query was
-  submitted.
+  submitted;
+* the same contract for the hit fast path: a hit is answered from bytes
+  encoded once and kept on the cache entry, so those bytes must become
+  unreachable with the entry — a hit issued after an acknowledged load
+  can never carry pre-load bytes.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ def test_no_stale_reads_under_concurrent_load_and_query():
         # submitted later must see at least this much extra data.
         committed = 0.0
         reads = 0
+        cached_reads = 0
 
         async with ServeClient(host, port) as probe:
             baseline = _total((await probe.sql(statement))["rows"])
@@ -94,7 +99,7 @@ def test_no_stale_reads_under_concurrent_load_and_query():
                     await asyncio.sleep(0.02)
 
         async def reader(index: int) -> None:
-            nonlocal reads
+            nonlocal reads, cached_reads
             async with ServeClient(host, port) as client:
                 while not stop.is_set():
                     floor = baseline + committed
@@ -107,6 +112,7 @@ def test_no_stale_reads_under_concurrent_load_and_query():
                             unexpected.append(exc.code)
                         continue
                     reads += 1
+                    cached_reads += bool(result.get("cached"))
                     total = _total(result["rows"])
                     if total < floor - 1e-6:
                         violations.append((total, floor))
@@ -121,12 +127,54 @@ def test_no_stale_reads_under_concurrent_load_and_query():
         assert not unexpected, f"unexpected error codes: {unexpected}"
         assert reads >= 10, f"stress produced too few reads: {reads}"
         assert committed >= 1000.0, "writer never landed a load"
+        # Between loads the readers were served from pre-encoded bytes,
+        # so the floor above held for the fast path too.
+        assert cached_reads >= 1, "stress never exercised the hit path"
         assert not violations, (
             f"stale reads observed (total, required floor): {violations[:5]}"
         )
         assert gateway.stats.dropped_responses == 0
 
     asyncio.run(stress())
+
+
+def test_hit_bytes_die_with_their_generation():
+    """Pre-encoded hit bytes are never served across an acknowledged load."""
+
+    async def check() -> None:
+        serving = build_serving_deployment(0)
+        gateway = ServeGateway(serving)
+        host, port = await gateway.start()
+        cache = serving.deployment.proxy.result_cache
+        statement = "SELECT sum(clicks) FROM events"
+        async with ServeClient(host, port) as client:
+            before = _total((await client.sql(statement))["rows"])
+            for __ in range(3):  # slow-path hit, then hits from its bytes
+                hit = await client.sql(statement)
+                assert hit["cached"] is True
+                assert _total(hit["rows"]) == before
+            stale = [e for e in cache._entries.values() if e.wire is not None]
+            assert len(stale) == 1
+
+            await client.load("events", [{"day": 3, "clicks": 1000.0}])
+            fresh = await client.sql(statement)
+            assert not fresh.get("cached")
+            assert _total(fresh["rows"]) == before + 1000.0
+            for __ in range(3):
+                hit = await client.sql(statement)
+                assert hit["cached"] is True
+                assert _total(hit["rows"]) == before + 1000.0
+            # The new generation got its own entry and its own bytes.
+            encoded = [e for e in cache._entries.values() if e.wire is not None]
+            assert len(encoded) == 2 and stale[0] in encoded
+
+            # An explicit invalidation takes entry and bytes together.
+            await client.invalidate("events")
+            assert len(cache) == 0
+            assert not (await client.sql(statement)).get("cached")
+        await gateway.drain(timeout=30.0)
+
+    asyncio.run(check())
 
 
 def test_coalesced_followers_share_fresh_generation_only():

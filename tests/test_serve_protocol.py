@@ -238,6 +238,11 @@ def test_query_from_spec_full():
         {
             "table": "events",
             "aggregations": [{"func": "sum", "metric": "clicks"}],
+            "limit": True,
+        },
+        {
+            "table": "events",
+            "aggregations": [{"func": "sum", "metric": "clicks"}],
             "order_by": 3,
         },
     ],
@@ -251,8 +256,6 @@ def test_gateway_config_validation():
     serving = build_serving_deployment(0)
     with pytest.raises(ConfigurationError):
         ServeGateway(serving, max_inflight=0)
-    with pytest.raises(ConfigurationError):
-        ServeGateway(serving, pump_interval=0.0)
     with pytest.raises(ConfigurationError):
         ServeGateway(serving).address  # not started
 
@@ -473,6 +476,9 @@ def test_malformed_frame_gets_error_and_connection_survives():
             writer.close()
             await writer.wait_closed()
             assert gateway.stats.protocol_errors == 1
+            # The malformed frame was owed (and got) an answer too.
+            assert gateway.stats.requests_total == 2
+            assert gateway.stats.responses_total == 2
         finally:
             await gateway.close()
 
@@ -612,13 +618,15 @@ def test_record_response_error_and_degraded_payloads():
                     **kwargs,
                 )
 
-            shed = gateway._record_response(1, record("shed"), False)
+            def response(*args):
+                frame = gateway._record_frame(*args)
+                return json.loads(frame[HEADER.size:])
+
+            shed = response(1, record("shed"), False)
             assert shed["error"]["code"] == "rejected"
             assert shed["error"]["reason"] == "shed"
 
-            failed = gateway._record_response(
-                2, record("failed", error="all regions down"), False
-            )
+            failed = response(2, record("failed", error="all regions down"), False)
             assert failed["error"]["code"] == "query_failed"
             assert "all regions down" in failed["error"]["message"]
 
@@ -630,30 +638,11 @@ def test_record_response_error_and_degraded_payloads():
                 rows_scanned=10,
                 metadata={"degraded": True, "completeness": 0.5},
             )
-            ok = gateway._record_response(
-                3, record("ok", result=degraded), True
-            )
+            ok = response(3, record("ok", result=degraded), True)
             payload = ok["result"]
             assert payload["degraded"] is True
             assert payload["completeness"] == 0.5
             assert payload["coalesced"] is True
-        finally:
-            await gateway.close()
-
-    run(check())
-
-
-def test_coalescing_can_be_disabled():
-    async def check():
-        gateway = await started_gateway(coalesce=False)
-        try:
-            host, port = gateway.address
-            async with ServeClient(host, port) as client:
-                statement = "SELECT sum(clicks) FROM events GROUP BY day"
-                await asyncio.gather(
-                    *(client.sql(statement, tenant="t2") for __ in range(3))
-                )
-            assert gateway.stats.coalesced == 0
         finally:
             await gateway.close()
 
@@ -689,6 +678,7 @@ def test_drain_answers_every_accepted_request():
         # a real answer, never a hang or a dropped write.
         assert gateway.stats.dropped_responses == 0
         assert gateway.stats.responses_total == len(statements)
+        assert gateway.stats.requests_total == len(statements)
         for outcome in results:
             assert isinstance(outcome, dict), outcome
             assert outcome["columns"]
@@ -720,6 +710,11 @@ def test_new_requests_during_drain_get_shutting_down():
             result = await inflight
             assert result["columns"]
             assert await drain_task is True
+        # Every frame owed an answer got one, counted in one place —
+        # the shutting_down refusal included.
+        stats = gateway.stats
+        assert stats.requests_total == 2
+        assert stats.requests_total == stats.responses_total + stats.dropped_responses
 
     run(check())
 
@@ -749,7 +744,7 @@ def test_sigterm_triggers_graceful_drain():
     async def check():
         gateway = await started_gateway()
         gateway.install_signal_handlers()
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         try:
             host, port = gateway.address
             async with ServeClient(host, port) as client:
