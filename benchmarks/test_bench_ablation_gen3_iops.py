@@ -39,8 +39,7 @@ def build_node(name: str, memory_capacity: int) -> tuple[CubrickNode, int]:
     )
     node.add_shard(shards[0], None)
     rng = np.random.default_rng(hash(name) % 2 ** 31)
-    node.insert_into_partition(
-        schema.name, 0,
+    node.partition(schema.name, 0).insert_many(
         [{"k": int(rng.integers(64)), "v": float(rng.random())}
          for __ in range(ROWS)],
     )

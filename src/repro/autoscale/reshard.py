@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.cubrick.partitioning import PartitioningPolicy, plan_repartition
+from repro.cubrick.partitioning import PartitioningPolicy
 from repro.cubrick.sharding import generation_alias
 from repro.errors import ConfigurationError
 
@@ -196,17 +196,9 @@ class ReshardPlanner:
         # respect to loads and queries: no row can slip between them.
         new_shards = deployment.directory.register_table(new_physical, new_count)
         deployment._materialize_table(new_physical, new_shards)
-        rows = self._collect_rows(info, old_physical)
-        plan = plan_repartition(info.schema, rows, new_count)
-        for sm in deployment.sm_servers.values():
-            for index in range(new_count):
-                partition_rows = plan.get(index, [])
-                if not partition_rows:
-                    continue
-                owner = sm.discovery.resolve_authoritative(new_shards[index])
-                node = sm.app_server(owner)
-                node.insert_into_partition(new_physical, index, partition_rows)
-        op.rows_copied = len(rows)
+        columns = deployment._layout_columns(old_physical, info.num_partitions)
+        deployment._load_into_layout(new_physical, info.schema, new_count, columns)
+        op.rows_copied = len(columns[info.schema.dimensions[0].name])
         info.pending_physical = new_physical
         info.pending_partitions = new_count
 
@@ -225,16 +217,6 @@ class ReshardPlanner:
         op.state = ReshardState.VERIFYING
         sim.call_later(self.spec.verify_delay, lambda: self._verify(op))
         return op
-
-    def _collect_rows(self, info, physical: str) -> list[dict[str, float]]:
-        sm = next(iter(self.deployment.sm_servers.values()))
-        shards = self.deployment.directory.shards_for_table(physical)
-        rows: list[dict[str, float]] = []
-        for index in range(info.num_partitions):
-            owner = sm.discovery.resolve_authoritative(shards[index])
-            node = sm.app_server(owner)
-            rows.extend(node.partition(physical, index).all_rows())
-        return rows
 
     def _verify(self, op: ReshardOperation) -> None:
         """VERIFY: staged layout must agree with serving, per region."""

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from repro.cluster.automation import DatacenterAutomation
 from repro.cluster.host import GIB, Host
 from repro.cluster.topology import Cluster
@@ -32,8 +34,8 @@ from repro.cubrick.locator import CachedRandom
 from repro.cubrick.node import CubrickNode
 from repro.cubrick.partitioning import (
     PartitioningPolicy,
-    partition_of,
-    plan_repartition,
+    partitions_of_columns,
+    split_by_partition,
 )
 from repro.cubrick.proxy import CubrickProxy
 from repro.cubrick.query import Query, QueryResult
@@ -374,22 +376,26 @@ class CubrickDeployment:
         """
         info = self.catalog.get(table)
         schema = info.schema
+        # Pivot and validate once: an invalid row rejects the whole load.
+        columns = schema.columns_of_rows(rows)
         self.obs.metrics.counter(
             "cubrick.deployment.rows_loaded", table=table
         ).inc(len(rows))
         if info.replicated:
             for node in self.nodes.values():
-                node.insert_into_replicated(table, rows)
+                node.store_replicated(table).insert_columns(
+                    columns, validated=True
+                )
             info.bump_ingest()
             return len(rows)
         self._load_into_layout(
-            info.physical_table, schema, info.num_partitions, rows
+            info.physical_table, schema, info.num_partitions, columns
         )
         if info.resharding:
             # Dual-write: a staged reshard keeps the pending layout in
             # sync with every ingest, so the cutover needs no catch-up.
             self._load_into_layout(
-                info.pending_physical, schema, info.pending_partitions, rows
+                info.pending_physical, schema, info.pending_partitions, columns
             )
         # New rows are visible: invalidate cached answers via the key.
         info.bump_ingest()
@@ -400,19 +406,38 @@ class CubrickDeployment:
         physical: str,
         schema: TableSchema,
         num_partitions: int,
-        rows: list[dict[str, float]],
+        columns: dict[str, np.ndarray],
     ) -> None:
-        """Insert rows into one physical layout in every region."""
-        by_partition: dict[int, list[dict[str, float]]] = {}
-        for row in rows:
-            index = partition_of(schema, row, num_partitions)
-            by_partition.setdefault(index, []).append(row)
+        """Insert validated columns into one physical layout in every
+        region, each row routed to its partition."""
+        groups = split_by_partition(
+            columns,
+            partitions_of_columns(schema, columns, num_partitions),
+            num_partitions,
+        )
         shards = self.directory.shards_for_table(physical)
         for sm in self.sm_servers.values():
-            for index, partition_rows in by_partition.items():
+            for index, (__, group) in groups.items():
                 owner = sm.discovery.resolve_authoritative(shards[index])
-                node = sm.app_server(owner)
-                node.insert_into_partition(physical, index, partition_rows)
+                storage = sm.app_server(owner).partition(physical, index)
+                storage.insert_columns(group, validated=True)
+
+    def _layout_columns(
+        self, physical: str, num_partitions: int
+    ) -> dict[str, np.ndarray]:
+        """Every row of one physical layout as columns, read from the
+        first region's copy in partition order."""
+        sm = next(iter(self.sm_servers.values()))
+        shards = self.directory.shards_for_table(physical)
+        parts = []
+        for index in range(num_partitions):
+            owner = sm.discovery.resolve_authoritative(shards[index])
+            node = sm.app_server(owner)
+            parts.append(node.partition(physical, index).all_columns())
+        return {
+            name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]
+        }
 
     def planner_context(self, *, optimize: bool = True):
         """A :class:`~repro.sql.PlannerContext` over this catalog.
@@ -571,27 +596,19 @@ class CubrickDeployment:
 
     def _repartition(self, table: str, new_count: int) -> None:
         info = self.catalog.get(table)
-        schema = info.schema
         old_physical = info.physical_table
+        old_count = info.num_partitions
         # Collect all rows once, from the first region's copy.
-        sm = next(iter(self.sm_servers.values()))
+        columns = self._layout_columns(old_physical, old_count)
         shards = self.directory.shards_for_table(old_physical)
-        rows: list[dict[str, float]] = []
-        for index in range(info.num_partitions):
-            owner = sm.discovery.resolve_authoritative(shards[index])
-            node = sm.app_server(owner)
-            rows.extend(node.partition(old_physical, index).all_rows())
-
-        plan = plan_repartition(schema, rows, new_count)
 
         # Tear down the old layout and build the new one in all regions.
         self.directory.unregister_table(old_physical)
         self._detach_table(old_physical, shards)
 
-        old_count = info.num_partitions
         new_physical = generation_alias(table, info.generation + 1)
         try:
-            self._build_layout(table, new_physical, info, new_count, plan)
+            self._build_layout(table, new_physical, info, new_count, columns)
         except Exception:
             # Roll back to the old layout with the collected rows: a
             # failed re-partition must never lose the table.
@@ -601,8 +618,7 @@ class CubrickDeployment:
                 pass
             attempted = self.mapper.shards_of(new_physical, new_count)
             self._detach_table(new_physical, attempted)
-            old_plan = plan_repartition(schema, rows, old_count)
-            self._build_layout(table, old_physical, info, old_count, old_plan)
+            self._build_layout(table, old_physical, info, old_count, columns)
             raise
 
     def _detach_table(self, table: str, shards: list[int]) -> None:
@@ -626,7 +642,7 @@ class CubrickDeployment:
         physical: str,
         info: TableInfo,
         new_count: int,
-        plan: dict[int, list[dict[str, float]]],
+        columns: dict[str, np.ndarray],
     ) -> None:
         """Register, materialise and load one partition layout.
 
@@ -638,14 +654,7 @@ class CubrickDeployment:
         info.generation += 1
         info.serving_physical = "" if physical == table else physical
         self._materialize_table(physical, new_shards)
-        for sm_region in self.sm_servers.values():
-            for index in range(new_count):
-                partition_rows = plan.get(index, [])
-                if not partition_rows:
-                    continue
-                owner = sm_region.discovery.resolve_authoritative(new_shards[index])
-                node = sm_region.app_server(owner)
-                node.insert_into_partition(physical, index, partition_rows)
+        self._load_into_layout(physical, info.schema, new_count, columns)
 
     # ------------------------------------------------------------------
     # Operations

@@ -9,14 +9,13 @@ classification [16]). The adaptive-compression memory monitor uses the
 counters to compress coldest-first under memory pressure and decompress
 hottest-first when memory frees up.
 
-Storage is zero-copy on the bulk path: column data lives as a list of
-sealed numpy *chunks* per column. ``append_columns`` appends the caller's
-arrays directly (no ``.tolist()`` round-trip), ``columns()`` concatenates
-the chunks once and caches the result (collapsing the chunk list so
-repeated reads never re-concatenate), and decompression materialises
-arrays straight from the zlib blobs without rebuilding Python list
-builders. Row-at-a-time appends buffer into small pending lists that are
-sealed into a chunk on the next read.
+Storage is zero-copy: column data lives as a list of sealed numpy
+*chunks* per column. ``append_columns`` appends the caller's arrays
+directly (no ``.tolist()`` round-trip), ``columns()`` concatenates the
+chunks once and caches the result (collapsing the chunk list so repeated
+reads never re-concatenate), and decompression materialises arrays
+straight from the zlib blobs without rebuilding Python list builders.
+A one-row ``append`` is a one-row chunk.
 
 Compression here is *real*: column arrays are serialised and
 zlib-compressed, so compressed footprints and the compression ratio come
@@ -71,8 +70,7 @@ class _EncodedCache:
 class Brick:
     """One data block: columnar chunk storage for a bucket of rows.
 
-    Bulk appends store sealed numpy chunks; row appends buffer into
-    pending lists sealed on first read; ``columns()`` concatenates once
+    Appends store sealed numpy chunks; ``columns()`` concatenates once
     and caches. Compression pickles the arrays through zlib. A compressed
     brick transparently decompresses on access (and the access bumps its
     hotness, so the memory monitor will tend to keep it decompressed).
@@ -89,12 +87,8 @@ class Brick:
         self.encoded_dimensions = tuple(encoded_dimensions)
         self._encoded: dict[str, _EncodedCache] = {}
         self._column_names = dimension_names + metric_names
-        #: Sealed numpy chunks per column (the bulk-load fast path).
+        #: Sealed numpy chunks per column.
         self._chunks: dict[str, list[np.ndarray]] = {
-            name: [] for name in self._column_names
-        }
-        #: Row-at-a-time append buffer, sealed into a chunk on read.
-        self._pending: dict[str, list] = {
             name: [] for name in self._column_names
         }
         self._arrays: dict[str, np.ndarray] | None = None
@@ -118,20 +112,12 @@ class Brick:
     # ------------------------------------------------------------------
 
     def append(self, row: dict[str, float]) -> None:
-        """Append one row (loading/decompressing first if needed)."""
-        if self._ssd is not None:
-            self._load_from_ssd()
-        if self._compressed is not None:
-            self._decompress()
-        for name in self.dimension_names:
-            self._pending[name].append(int(row[name]))
-        for name in self.metric_names:
-            self._pending[name].append(float(row[name]))
-        self._arrays = None
-        self._rows += 1
+        """Append one row (a one-row :meth:`append_columns`)."""
+        self.append_columns({name: [row[name]] for name in self._column_names})
 
     def append_columns(self, columns: dict[str, np.ndarray]) -> None:
-        """Bulk-append pre-validated column arrays (same length each).
+        """Bulk-append pre-validated column arrays (same length each),
+        loading/decompressing first if needed.
 
         The arrays are stored as sealed chunks directly — zero copy when
         the caller already supplies the storage dtypes.
@@ -158,15 +144,6 @@ class Brick:
         self._arrays = None
         self._rows += n
 
-    def _seal_pending(self) -> None:
-        """Turn buffered row appends into one sealed chunk per column."""
-        for name, values in self._pending.items():
-            if values:
-                self._chunks[name].append(
-                    np.asarray(values, dtype=self._dtype_of(name))
-                )
-                self._pending[name] = []
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -192,7 +169,6 @@ class Brick:
         if self._compressed is not None:
             self._decompress()
         if self._arrays is None:
-            self._seal_pending()
             arrays: dict[str, np.ndarray] = {}
             for name in self._column_names:
                 chunks = self._chunks[name]
@@ -282,7 +258,6 @@ class Brick:
         }
         self._arrays = None
         self._chunks = {name: [] for name in self._column_names}
-        self._pending = {name: [] for name in self._column_names}
         self._encoded = {}
 
     def _decompress(self) -> None:
@@ -296,7 +271,6 @@ class Brick:
         self._compressed = None
         self._arrays = arrays
         self._chunks = {name: [arr] for name, arr in arrays.items()}
-        self._pending = {name: [] for name in self._column_names}
 
     def decompress(self) -> None:
         """Public decompression hook for the memory monitor."""
@@ -327,7 +301,6 @@ class Brick:
         self._compressed = None
         self._arrays = None
         self._chunks = {name: [] for name in self._column_names}
-        self._pending = {name: [] for name in self._column_names}
 
     def _load_from_ssd(self) -> None:
         assert self._ssd is not None

@@ -312,11 +312,6 @@ class CubrickNode(ApplicationServer):
             self._replicated[table] = storage
         return storage
 
-    def insert_into_replicated(self, table: str,
-                               rows: list[dict[str, float]]) -> int:
-        """Load rows into the local replica of a replicated table."""
-        return self.store_replicated(table).insert_many(rows)
-
     def replicated_tables(self) -> set[str]:
         return set(self._replicated)
 
@@ -467,22 +462,6 @@ class CubrickNode(ApplicationServer):
             )
             for name, chunks in parts.items()
         }
-
-    def insert_into_partition(self, table: str, index: int,
-                              rows: list[dict[str, float]]) -> int:
-        """Load rows into one locally stored partition."""
-        return self.partition(table, index).insert_many(rows)
-
-    def insert_columns_into_partition(
-        self, table: str, index: int, columns: dict[str, np.ndarray],
-        *, validated: bool = False
-    ) -> int:
-        """Bulk-load column arrays into one locally stored partition
-        (the loader's vectorised flush path). ``validated=True`` skips
-        re-validation for rows already checked at append time."""
-        return self.partition(table, index).insert_columns(
-            columns, validated=validated
-        )
 
     # ------------------------------------------------------------------
     # Background maintenance

@@ -15,11 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cubrick.schema import TableSchema
 from repro.cubrick.sharding import stable_hash
 from repro.errors import ConfigurationError
 
+try:  # CPython's own md5: twice OpenSSL's speed on 30-byte keys
+    from _md5 import md5 as _key_md5
+except ImportError:  # pragma: no cover - interpreters without it
+    from hashlib import md5 as _key_md5
+
 DEFAULT_INITIAL_PARTITIONS = 8
+#: Rows whose routing keys are formatted and hashed together.
+_KEY_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,23 +102,64 @@ def partition_of(schema: TableSchema, row: dict[str, float],
     return stable_hash(key) % num_partitions
 
 
+def partitions_of_columns(schema: TableSchema, columns,
+                          num_partitions: int) -> np.ndarray:
+    """:func:`partition_of` for every row of ``columns``, bit-identical:
+    ``name=value|...`` keys are formatted a block of rows per string
+    operation and md5-hashed, and the first 8 bytes of each 16-byte
+    digest, read little-endian, are :func:`stable_hash` of its key."""
+    if num_partitions <= 0:
+        raise ConfigurationError(f"num_partitions must be positive: {num_partitions}")
+    values = np.column_stack([
+        np.asarray(columns[d.name], dtype=np.int64) for d in schema.dimensions
+    ])
+    # Keys are cut apart at byte 0xFF, which UTF-8 never produces; the
+    # separator is written as U+DCFF and encoded with surrogateescape.
+    key = "|".join(f"{d.name.replace('%', '%%')}=%d" for d in schema.dimensions)
+    key += "\udcff"
+    # Blocks bound the short-lived key objects, whose memory the
+    # allocator would otherwise keep after a large batch.
+    digests = []
+    for start in range(0, len(values), _KEY_BLOCK):
+        block = values[start:start + _KEY_BLOCK]
+        batch = (key * len(block)) % tuple(block.ravel().tolist())
+        keys = batch.encode("utf-8", "surrogateescape").split(b"\xff")[:-1]
+        digests.append(b"".join([_key_md5(k).digest() for k in keys]))
+    hashes = np.frombuffer(b"".join(digests), dtype="<u8")[::2]
+    return (hashes % np.uint64(num_partitions)).astype(np.intp)
+
+
+def split_by_partition(
+    columns: dict[str, np.ndarray], partitions: np.ndarray, num_partitions: int
+) -> dict[int, tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """partition -> (row positions, columns) of its rows, in row order;
+    partitions without rows are left out. One stable sort and one gather
+    per column; the groups are views of the gathered arrays."""
+    order = np.argsort(partitions, kind="stable")
+    gathered = {name: column[order] for name, column in columns.items()}
+    ends = np.cumsum(np.bincount(partitions, minlength=num_partitions))
+    groups: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+    start = 0
+    for index, end in enumerate(ends.tolist()):
+        if end > start:
+            groups[index] = (order[start:end], {
+                name: column[start:end] for name, column in gathered.items()
+            })
+        start = end
+    return groups
+
+
 def plan_repartition(
     schema: TableSchema,
     rows: list[dict[str, float]],
     new_partition_count: int,
 ) -> dict[int, list[dict[str, float]]]:
-    """Shuffle rows into their new partitions (the data-movement plan).
-
-    Returns new-partition-index → rows. Callers execute the plan by
-    rebuilding partition storages and re-registering shards; this is the
-    computationally expensive shuffle the paper warns should stay
-    sporadic.
-    """
-    plan: dict[int, list[dict[str, float]]] = {
-        i: [] for i in range(new_partition_count)
-    }
-    for row in rows:
-        plan[partition_of(schema, row, new_partition_count)].append(row)
+    """Shuffle rows into their new partitions: new-partition-index →
+    rows, the row-dict view of :func:`partitions_of_columns`."""
+    keys = {d.name: [row[d.name] for row in rows] for d in schema.dimensions}
+    plan: dict[int, list[dict[str, float]]] = {i: [] for i in range(new_partition_count)}
+    for row, index in zip(rows, partitions_of_columns(schema, keys, new_partition_count)):
+        plan[index].append(row)
     return plan
 
 

@@ -7,13 +7,18 @@ described in the Cubrick paper [22] that this system builds on.
 
 Table names may not contain ``#``: Cubrick reserves it as the internal
 separator between a table name and its partition index
-(``dim_users#0`` … ``dim_users#3`` — paper §IV-A).
+(``dim_users#0`` … ``dim_users#3`` — paper §IV-A). Every ingest path
+validates through :meth:`TableSchema.validate_columns`, column-wise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
+import numpy as np
+
+from repro.cubrick.bricks import DIMENSION_DTYPE, METRIC_DTYPE
 from repro.errors import InvalidTableNameError, SchemaError, TableNotFoundError
 
 PARTITION_SEPARATOR = "#"
@@ -213,23 +218,81 @@ class TableSchema:
             raise SchemaError(f"malformed schema payload: {exc}") from exc
 
     def validate_row(self, row: dict[str, float]) -> None:
-        """Check a row has every column with in-domain dimension values."""
-        for d in self.dimensions:
-            if d.name not in row:
-                raise SchemaError(f"row missing dimension {d.name!r}")
-            value = row[d.name]
-            if int(value) != value:
-                raise SchemaError(
-                    f"dimension {d.name!r} must be integer, got {value!r}"
-                )
-            if not 0 <= int(value) < d.cardinality:
-                raise SchemaError(
-                    f"dimension {d.name!r} value {value} outside "
-                    f"[0, {d.cardinality})"
-                )
+        """Check one row (a one-row :meth:`columns_of_rows`)."""
+        self.columns_of_rows([row])
+
+    def columns_of_rows(self, rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
+        """Pivot row dicts to validated columns, one pass per column: the
+        row API's way onto the column path. Extra keys are ignored."""
+        columns = {}
+        for name in self.column_names:
+            try:
+                columns[name] = [row[name] for row in rows]
+            except KeyError:
+                first = next(i for i, row in enumerate(rows) if name not in row)
+                raise SchemaError(f"row {first} missing column {name!r}") from None
+        return self.validate_columns(columns)
+
+    def validate_columns(self, columns) -> dict[str, np.ndarray]:
+        """Check a batch of columns; returns them in the storage dtypes.
+
+        Every schema column must be present (extra ones are dropped), all
+        of one length; dimensions integral and in ``[0, cardinality)``,
+        metrics numeric. A :class:`SchemaError` names the first bad column
+        and row.
+        """
+        missing = [name for name in self.column_names if name not in columns]
+        if missing:
+            raise SchemaError(f"missing column {missing[0]!r} in bulk load")
+        lengths = {name: len(columns[name]) for name in self.column_names}
+        if len(set(lengths.values())) > 1:
+            raise SchemaError(f"ragged column lengths: {lengths}")
+        out = {d.name: _validated_dimension_column(d, columns[d.name])
+               for d in self.dimensions}
         for m in self.metrics:
-            if m.name not in row:
-                raise SchemaError(f"row missing metric {m.name!r}")
+            out[m.name] = _validated_metric_column(m, columns[m.name])
+        return out
+
+
+def _validated_dimension_column(dim: Dimension, raw) -> np.ndarray:
+    """One dimension column as int64, checked *before* the cast: a float
+    like ``3.7`` or an out-of-range value would otherwise be truncated or
+    wrapped and silently routed to an aliased brick."""
+    values = np.asarray(raw)
+    if values.size == 0:
+        return values.astype(DIMENSION_DTYPE)
+    if not np.issubdtype(values.dtype, np.integer):
+        if not np.issubdtype(values.dtype, np.floating):
+            raise _non_numeric("dimension", dim.name, raw)
+        fractional = values != np.floor(values)
+        if fractional.any():
+            first = int(np.flatnonzero(fractional)[0])
+            raise SchemaError(
+                f"dimension {dim.name!r}: non-integer value "
+                f"{float(values[first])!r} at row {first}"
+            )
+    out_of_domain = (values < 0) | (values >= dim.cardinality)
+    if out_of_domain.any():
+        first = int(np.flatnonzero(out_of_domain)[0])
+        raise SchemaError(
+            f"dimension {dim.name!r}: value {values[first]} at row "
+            f"{first} outside [0, {dim.cardinality})"
+        )
+    return values.astype(DIMENSION_DTYPE, copy=False)
+
+
+def _validated_metric_column(metric: Metric, raw) -> np.ndarray:
+    """One metric column as float64."""
+    try:
+        return np.asarray(raw, dtype=METRIC_DTYPE)
+    except (TypeError, ValueError):
+        raise _non_numeric("metric", metric.name, raw) from None
+
+
+def _non_numeric(kind: str, name: str, raw) -> SchemaError:
+    """The error for a column holding something other than numbers."""
+    first = next((i for i, v in enumerate(raw) if not isinstance(v, Real)), 0)
+    return SchemaError(f"{kind} {name!r}: non-numeric value {raw[first]!r} at row {first}")
 
 
 @dataclass

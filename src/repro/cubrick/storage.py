@@ -33,7 +33,7 @@ from repro.cubrick.query import (
     Query,
 )
 from repro.cubrick.schema import TableSchema
-from repro.errors import CubrickError, QueryError, SchemaError
+from repro.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.obs import Observability
@@ -85,71 +85,39 @@ class PartitionStorage:
     # ------------------------------------------------------------------
 
     def insert(self, row: dict[str, float]) -> int:
-        """Insert one validated row; returns the target brick id."""
-        self.schema.validate_row(row)
-        brick_id = self.index.brick_of(row)
-        brick = self._bricks.get(brick_id)
-        if brick is None:
-            brick = Brick(
-                brick_id,
-                self.schema.dimension_names,
-                self.schema.metric_names,
-                encoded_dimensions=self.schema.encoded_dimension_names,
-            )
-            self._bricks[brick_id] = brick
-        brick.append(row)
-        self._rows += 1
-        if self._rows_inserted_counter is not None:
-            self._rows_inserted_counter.inc()
-        return brick_id
+        """Insert one row (a one-row :meth:`insert_columns`); returns
+        the brick id it landed in."""
+        self.insert_many([row])
+        return self.index.brick_of(row)
 
     def insert_many(self, rows: Iterable[dict[str, float]]) -> int:
-        """Insert many rows; returns how many were inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert row dicts, pivoted once to columns; returns the count."""
+        columns = self.schema.columns_of_rows(list(rows))
+        return self.insert_columns(columns, validated=True)
 
     def insert_columns(
         self, columns: dict[str, np.ndarray], *, validated: bool = False
     ) -> int:
-        """Vectorised bulk load from column arrays (the fast path).
+        """Vectorised bulk load from column arrays — the one load path.
 
-        All schema columns must be present with equal lengths; dimension
-        domains are validated vectorised, rows are routed to bricks in
-        one pass (the ingestion-rate story of the Cubrick paper [22]).
-        ``validated=True`` skips the per-column domain checks for callers
-        that already validated every row (the streaming loader validates
-        at append time — re-checking on flush would double the cost).
+        Columns are validated (:meth:`TableSchema.validate_columns`) unless
+        ``validated=True`` says they already were (the streaming loader
+        validates at append time), then routed to bricks in one pass (the
+        ingestion-rate story of the Cubrick paper [22]).
         """
-        lengths = {
-            name: len(np.asarray(columns[name]))
-            for name in self.schema.column_names
-            if name in columns
+        if not validated:
+            columns = self.schema.validate_columns(columns)
+        dim_arrays = {
+            d.name: np.asarray(columns[d.name], dtype=DIMENSION_DTYPE)
+            for d in self.schema.dimensions
         }
-        missing = set(self.schema.column_names) - set(lengths)
-        if missing:
-            raise CubrickError(f"missing columns in bulk load: {sorted(missing)}")
-        if len(set(lengths.values())) > 1:
-            raise CubrickError(f"ragged column lengths: {lengths}")
-        n = next(iter(lengths.values()))
-        if n == 0:
-            return 0
-        if validated:
-            dim_arrays = {
-                d.name: np.asarray(columns[d.name], dtype=DIMENSION_DTYPE)
-                for d in self.schema.dimensions
-            }
-        else:
-            dim_arrays = {
-                d.name: self._validated_dimension_column(d, columns[d.name])
-                for d in self.schema.dimensions
-            }
         metric_arrays = {
-            m.name: np.asarray(columns[m.name], dtype=np.float64)
+            m.name: np.asarray(columns[m.name], dtype=METRIC_DTYPE)
             for m in self.schema.metrics
         }
+        n = len(dim_arrays[self.schema.dimensions[0].name])
+        if n == 0:
+            return 0
         brick_ids = self.index.bricks_of_columns(dim_arrays)
         order = np.argsort(brick_ids, kind="stable")
         sorted_ids = brick_ids[order]
@@ -180,41 +148,6 @@ class PartitionStorage:
             self._rows_inserted_counter.inc(n)
         return n
 
-    @staticmethod
-    def _validated_dimension_column(dim, raw) -> np.ndarray:
-        """Vectorised domain validation for one bulk-load dimension column.
-
-        Values must be integral and inside ``[0, cardinality)`` *before*
-        the int64 cast — a float like ``3.7`` or an out-of-range value
-        would otherwise be truncated/wrapped and silently routed to an
-        aliased brick. Raises :class:`CubrickError` (via its
-        :class:`SchemaError` subclass) naming the offending column.
-        """
-        values = np.asarray(raw)
-        if values.size == 0:
-            return values.astype(DIMENSION_DTYPE)
-        if not np.issubdtype(values.dtype, np.integer):
-            if not np.issubdtype(values.dtype, np.floating):
-                raise SchemaError(
-                    f"dimension {dim.name!r}: non-numeric bulk-load column "
-                    f"(dtype {values.dtype})"
-                )
-            fractional = values != np.floor(values)
-            if fractional.any():
-                first = int(np.flatnonzero(fractional)[0])
-                raise SchemaError(
-                    f"dimension {dim.name!r}: non-integer value "
-                    f"{float(values[first])!r} at row {first}"
-                )
-        out_of_domain = (values < 0) | (values >= dim.cardinality)
-        if out_of_domain.any():
-            first = int(np.flatnonzero(out_of_domain)[0])
-            raise SchemaError(
-                f"dimension {dim.name!r}: value {values[first]} at row "
-                f"{first} outside [0, {dim.cardinality})"
-            )
-        return values.astype(DIMENSION_DTYPE)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -242,43 +175,22 @@ class PartitionStorage:
         return sum(b.decompressed_bytes() for b in self._bricks.values())
 
     def all_rows(self) -> list[dict[str, float]]:
-        """Materialise every row (used by re-partitioning/migration).
-
-        Each column is converted to a Python list once (one C-level pass
-        per column) instead of calling ``.item()`` per cell.
-        """
-        out: list[dict[str, float]] = []
-        names = self.schema.column_names
-        for brick in self.bricks():
-            arrays = brick.columns()
-            column_lists = [arrays[name].tolist() for name in names]
-            out.extend(
-                dict(zip(names, values)) for values in zip(*column_lists)
-            )
-        return out
+        """Every row as a dict (the row view of :meth:`all_columns`)."""
+        columns = self.all_columns()
+        names = list(columns)
+        return [
+            dict(zip(names, values))
+            for values in zip(*(columns[name].tolist() for name in names))
+        ]
 
     def all_columns(self) -> dict[str, np.ndarray]:
-        """Materialise every row as column arrays (the migration fast
-        path: feed straight into :meth:`insert_columns`)."""
+        """Materialise every row as column arrays, bricks in id order
+        (re-partitions and migrations feed it to :meth:`insert_columns`)."""
         names = self.schema.column_names
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        for brick in self.bricks():
-            arrays = brick.columns()
-            for name in names:
-                parts[name].append(arrays[name])
-        out: dict[str, np.ndarray] = {}
-        for name in names:
-            dtype = (
-                DIMENSION_DTYPE
-                if self.schema.has_dimension(name)
-                else METRIC_DTYPE
-            )
-            out[name] = (
-                np.concatenate(parts[name])
-                if parts[name]
-                else np.empty(0, dtype=dtype)
-            )
-        return out
+        arrays = [brick.columns() for brick in self.bricks()]
+        if not arrays:  # validating no rows yields empty, typed columns
+            return self.schema.validate_columns(dict.fromkeys(names, ()))
+        return {name: np.concatenate([a[name] for a in arrays]) for name in names}
 
     # ------------------------------------------------------------------
     # Planning

@@ -17,7 +17,8 @@ from repro.sim.engine import Simulator
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite golden EXPLAIN snapshots instead of comparing",
+        help="rewrite golden snapshots (EXPLAINs, the seeded-report "
+             "manifest) instead of comparing",
     )
 
 
@@ -83,6 +84,17 @@ def make_rows(schema: TableSchema, count: int, seed: int = 0) -> list[dict]:
             row[metric.name] = float(generator.integers(1, 100))
         rows.append(row)
     return rows
+
+
+def region_rows(deployment, sm, table: str) -> int:
+    """Rows of a table's serving layout held in one region (``sm``)."""
+    info = deployment.catalog.get(table)
+    shards = deployment.directory.shards_for_table(info.physical_table)
+    total = 0
+    for index in range(info.num_partitions):
+        owner = sm.discovery.resolve_authoritative(shards[index])
+        total += sm.app_server(owner).partition(info.physical_table, index).rows
+    return total
 
 
 @pytest.fixture

@@ -229,8 +229,8 @@ class TestStagedReshard:
         shards = deployment.directory.shards_for_table(op.new_physical)
         owner = sm.discovery.resolve_authoritative(shards[0])
         node = sm.app_server(owner)
-        node.insert_into_partition(
-            op.new_physical, 0, [{"day": 1, "clicks": 5.0}]
+        node.partition(op.new_physical, 0).insert_many(
+            [{"day": 1, "clicks": 5.0}]
         )
         deployment.simulator.run_until(deployment.simulator.now + 60.0)
         assert op.state is ReshardState.ABORTED

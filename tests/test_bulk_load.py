@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cubrick.granular import GranularIndex
 from repro.cubrick.query import AggFunc, Aggregation, Query
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import CubrickError, SchemaError
@@ -133,21 +134,36 @@ class TestInsertColumns:
         ).finalize()
         assert result.scalar() == 300.0
 
-    def test_bulk_is_faster_than_rows(self, events_schema):
-        """The point of the fast path: bulk load beats per-row insert."""
-        import time
-
-        rows = make_rows(events_schema, 5000, seed=34)
-        columns = columns_from_rows(rows)
-
-        slow = PartitionStorage(events_schema, 0)
-        start = time.perf_counter()
-        slow.insert_many(rows)
-        row_time = time.perf_counter() - start
-
-        fast = PartitionStorage(events_schema, 0)
-        start = time.perf_counter()
-        fast.insert_columns(columns)
-        column_time = time.perf_counter() - start
-
-        assert column_time < row_time
+    def test_row_and_column_loads_build_identical_bricks(self, events_schema):
+        """Row dicts, one at a time or many, and column arrays all end in
+        the same bricks, byte for byte: each brick holds its rows in load
+        order, in the storage dtypes."""
+        rows = make_rows(events_schema, 2000, seed=34)
+        by_brick: dict[int, list[dict]] = {}
+        for row in rows:
+            by_brick.setdefault(GranularIndex(events_schema).brick_of(row), []).append(row)
+        expected = {
+            brick_id: {
+                name: np.array(
+                    [row[name] for row in brick_rows],
+                    dtype=np.int64 if events_schema.has_dimension(name) else np.float64,
+                ).tobytes()
+                for name in events_schema.column_names
+            }
+            for brick_id, brick_rows in by_brick.items()
+        }
+        one_by_one = PartitionStorage(events_schema, 0)
+        for row in rows[:700]:
+            one_by_one.insert(row)
+        one_by_one.insert_many(rows[700:])
+        by_rows = PartitionStorage(events_schema, 0)
+        by_rows.insert_many(rows)
+        by_columns = PartitionStorage(events_schema, 0)
+        by_columns.insert_columns(columns_from_rows(rows))
+        for storage in (one_by_one, by_rows, by_columns):
+            assert {
+                brick.brick_id: {
+                    name: values.tobytes() for name, values in brick.columns().items()
+                }
+                for brick in storage.bricks()
+            } == expected

@@ -145,8 +145,8 @@ class TestNodeJoins:
         shards = directory.register_table("sales", 1)
         node = CubrickNode("h1", catalog, directory)
         node.add_shard(shards[0], None)
-        node.insert_into_partition("sales", 0, FACT_ROWS)
-        node.insert_into_replicated("dim_users", DIM_ROWS)
+        node.partition("sales", 0).insert_many(FACT_ROWS)
+        node.store_replicated("dim_users").insert_many(DIM_ROWS)
         return node
 
     def test_local_join_execution(self, node):

@@ -29,7 +29,7 @@ def loaded_node(events_schema):
         memory_budget=MemoryBudget(capacity_bytes=GIB),
     )
     node.add_shard(shards[0], None)
-    node.insert_into_partition("events", 0, make_rows(events_schema, 400, seed=3))
+    node.partition("events", 0).insert_many(make_rows(events_schema, 400, seed=3))
     return node, shards
 
 
@@ -72,8 +72,8 @@ class TestGeneration2:
         node, shards = loaded_node
         exporter = DecompressedSizeExporter()
         before = exporter.shard_size(node, shards[0])
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 100, seed=4)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 100, seed=4)
         )
         assert exporter.shard_size(node, shards[0]) > before
 

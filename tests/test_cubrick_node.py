@@ -42,8 +42,8 @@ class TestShardEndpoints:
     def test_drop_shard_deletes_data(self, env):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}]
+        node.partition("events", 0).insert_many(
+            [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}]
         )
         node.drop_shard(shards[0])
         assert not node.has_partition("events", 0)
@@ -80,7 +80,7 @@ class TestShardEndpoints:
         in_zero = [
             r for r in rows
         ]
-        node.insert_into_partition("events", 0, in_zero)
+        node.partition("events", 0).insert_many(in_zero)
         target = CubrickNode("h2", catalog, directory)
         target.add_shard(shards[0], node)
         assert target.partition("events", 0).rows == 50
@@ -157,7 +157,7 @@ class TestLocalExecution:
             {"day": 1, "country": 2, "clicks": 5.0, "cost": 1.0},
             {"day": 2, "country": 3, "clicks": 7.0, "cost": 1.0},
         ]
-        node.insert_into_partition("events", 0, rows)
+        node.partition("events", 0).insert_many(rows)
         query = Query.build("events", [Aggregation(AggFunc.SUM, "clicks")])
         partial = node.execute_local(query, [0])
         assert partial.finalize().scalar() == 12.0
@@ -174,8 +174,7 @@ class TestMetricsAndMaintenance:
     def test_shard_metrics_per_shard(self, env):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0,
+        node.partition("events", 0).insert_many(
             [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}] * 10,
         )
         metrics = node.shard_metrics()
@@ -197,8 +196,8 @@ class TestMetricsAndMaintenance:
             memory_budget=MemoryBudget(capacity_bytes=4096),
         )
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 500, seed=9)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 500, seed=9)
         )
         report = node.run_memory_monitor()
         assert report.compressed > 0
@@ -207,8 +206,8 @@ class TestMetricsAndMaintenance:
     def test_decay_hotness_counts_bricks(self, env, events_schema):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 100, seed=4)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 100, seed=4)
         )
         assert node.decay_hotness() == node.partition("events", 0).brick_count
 

@@ -154,8 +154,8 @@ class TestGen3Node:
             exporter=SsdExporter(),
         )
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 600, seed=5)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 600, seed=5)
         )
         return node
 
@@ -189,8 +189,8 @@ class TestIopsAwareExporter:
             exporter=IopsAwareExporter(io_cost_bytes=1_000_000.0),
         )
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 400, seed=6)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 400, seed=6)
         )
         shard = shards[0]
         baseline = node.exporter.shard_size(node, shard)
@@ -215,8 +215,8 @@ class TestIopsAwareExporter:
                                        smoothing_alpha=0.5),
         )
         node.add_shard(shards[0], None)
-        node.insert_into_partition(
-            "events", 0, make_rows(events_schema, 400, seed=6)
+        node.partition("events", 0).insert_many(
+            make_rows(events_schema, 400, seed=6)
         )
         shard = shards[0]
         query = Query.build("events", [Aggregation(AggFunc.COUNT, "clicks")])

@@ -52,8 +52,8 @@ class TestVerifyReplicas:
         shards = deployment.directory.shards_for_table("audited")
         owner = sm.discovery.resolve_authoritative(shards[0])
         node = sm.app_server(owner)
-        node.insert_into_partition(
-            "audited", 0, [{"bucket": 1, "value": 1.0}] * 5
+        node.partition("audited", 0).insert_many(
+            [{"bucket": 1, "value": 1.0}] * 5
         )
         audit = deployment.verify_replicas("audited")
         assert not audit["consistent"]
