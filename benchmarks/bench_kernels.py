@@ -11,10 +11,6 @@ Three kernel families, each with a tracked before/after pair:
   extremes, per-group frozenset distincts) and the "after" is this
   generation (load-time dictionary codes, ``np.minimum.at`` scatter,
   composite-key pair dedup).
-* ``parallel_scan`` — full-scan SUM over a loaded partition, serial vs
-  :class:`~repro.cubrick.parallel.ParallelScanner` at 1/2/4 workers.
-  The entry records the host's core count: fork+COW fan-out only beats
-  serial with real cores to fan out to.
 
 Run directly for a table plus the machine-readable ledger::
 
@@ -22,14 +18,12 @@ Run directly for a table plus the machine-readable ledger::
 
 ``--check`` runs the CI smoke instead: re-times only the kernel path of
 the key cases and asserts generous throughput floors, exiting non-zero
-on a regression. Either full path merges numbers into
-``benchmarks/results/BENCH_engine.json`` (sections ``"kernels"`` and
-``"parallel_scan"``).
+on a regression. The full run merges its numbers into the ``"kernels"``
+section of ``benchmarks/results/BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -47,15 +41,7 @@ from repro.cubrick.kernels import (  # noqa: E402
     group_counts,
     grouped_state_arrays,
 )
-from repro.cubrick.parallel import ParallelScanner  # noqa: E402
-from repro.cubrick.query import (  # noqa: E402
-    AggFunc,
-    Aggregation,
-    Query,
-    _block_states_to_python,
-)
-from repro.cubrick.schema import Dimension, Metric, TableSchema  # noqa: E402
-from repro.cubrick.storage import PartitionStorage  # noqa: E402
+from repro.cubrick.query import AggFunc, _block_states_to_python  # noqa: E402
 
 from conftest import report, report_json  # noqa: E402
 
@@ -64,8 +50,6 @@ ROWS = 50_000
 #: Rows / key cardinality of the high-cardinality family (~87k groups).
 HC_ROWS = 200_000
 HC_CARDINALITY = 100_000
-#: Rows in the parallel full-scan partition.
-PARALLEL_ROWS = 400_000
 #: Repeat each measurement and keep the best (least-noise) run.
 REPEATS = 3
 
@@ -269,63 +253,6 @@ def run_benchmarks(rows: int = ROWS) -> dict[str, dict[str, float]]:
     return results
 
 
-# ----------------------------------------------------------------------
-# Parallel full-scan benchmark
-# ----------------------------------------------------------------------
-
-PARALLEL_SCHEMA = TableSchema.build(
-    "bench_parallel",
-    dimensions=[
-        Dimension("day", 64, range_size=8),
-        Dimension("entity", HC_CARDINALITY, range_size=HC_CARDINALITY // 8),
-    ],
-    metrics=[Metric("value")],
-)
-
-
-def _build_parallel_storage(rows: int) -> PartitionStorage:
-    rng = np.random.default_rng(17)
-    storage = PartitionStorage(PARALLEL_SCHEMA, 0)
-    storage.insert_columns({
-        "day": rng.integers(64, size=rows),
-        "entity": rng.integers(HC_CARDINALITY, size=rows),
-        "value": np.round(rng.exponential(10.0, size=rows) * 8.0) / 8.0,
-    })
-    return storage
-
-
-def run_parallel_benchmark(rows: int = PARALLEL_ROWS) -> dict:
-    """Serial vs ParallelScanner full-scan SUM over one partition."""
-    storage = _build_parallel_storage(rows)
-    query = Query.build(
-        "bench_parallel", [Aggregation(AggFunc.SUM, "value")],
-        group_by=["day"],
-    )
-    serial_result = storage.execute(query).finalize()
-    serial = _time(lambda: storage.execute(query).finalize())
-    entry: dict = {
-        "rows": rows,
-        "bricks": storage.brick_count,
-        "cores": os.cpu_count() or 1,
-        "serial_rows_per_s": round(rows / serial),
-        "workers": {},
-    }
-    for workers in (1, 2, 4):
-        scanner = ParallelScanner(workers=workers)
-        result = scanner.execute(storage, query).finalize()
-        assert result.rows == serial_result.rows, (
-            f"parallel divergence at {workers} workers"
-        )
-        elapsed = _time(
-            lambda: scanner.execute(storage, query).finalize()
-        )
-        entry["workers"][str(workers)] = {
-            "rows_per_s": round(rows / elapsed),
-            "speedup_vs_serial": round(serial / elapsed, 2),
-        }
-    return entry
-
-
 def render(results: dict[str, dict[str, float]]) -> list[str]:
     lines = []
     for name, r in results.items():
@@ -333,20 +260,6 @@ def render(results: dict[str, dict[str, float]]) -> list[str]:
             f"{name:<32} {r['before_rows_per_s']:>13,} -> "
             f"{r['after_rows_per_s']:>13,} rows/s  ({r['speedup']:.1f}x "
             f"vs {r.get('baseline', 'naive')}, {r['groups']} groups)"
-        )
-    return lines
-
-
-def render_parallel(entry: dict) -> list[str]:
-    lines = [
-        f"full-scan SUM, {entry['rows']:,} rows / {entry['bricks']} bricks "
-        f"on {entry['cores']} core(s)",
-        f"serial: {entry['serial_rows_per_s']:>13,} rows/s",
-    ]
-    for workers, r in entry["workers"].items():
-        lines.append(
-            f"{workers} worker(s): {r['rows_per_s']:>13,} rows/s "
-            f"({r['speedup_vs_serial']:.2f}x vs serial)"
         )
     return lines
 
@@ -375,9 +288,6 @@ def main() -> None:
     results = run_benchmarks()
     report("engine_kernels", render(results))
     report_json("kernels", results)
-    parallel = run_parallel_benchmark()
-    report("engine_parallel_scan", render_parallel(parallel))
-    report_json("parallel_scan", parallel)
 
 
 if __name__ == "__main__":

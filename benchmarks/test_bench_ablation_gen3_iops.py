@@ -39,10 +39,10 @@ def build_node(name: str, memory_capacity: int) -> tuple[CubrickNode, int]:
     )
     node.add_shard(shards[0], None)
     rng = np.random.default_rng(hash(name) % 2 ** 31)
-    node.partition(schema.name, 0).insert_many(
+    node.partition(schema.name, 0).insert_columns(schema.columns_of_rows(
         [{"k": int(rng.integers(64)), "v": float(rng.random())}
          for __ in range(ROWS)],
-    )
+    ))
     return node, shards[0]
 
 

@@ -20,7 +20,7 @@ def compute_figure4e():
     bricks = []
     for i in range(BRICKS):
         brick = Brick(i, ("d",), ("m",))
-        brick.append({"d": 0, "m": 1.0})
+        brick.append_columns({"d": [0], "m": [1.0]})
         bricks.append(brick)
     rng = np.random.default_rng(9)
     return run_hot_cold_week(

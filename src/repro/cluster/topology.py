@@ -203,7 +203,3 @@ class Cluster:
             if other != region:
                 self.set_region_link(region, other, True)
                 self.set_region_link(other, region, True)
-
-    def cut_region_links(self) -> list[tuple[str, str]]:
-        """Currently-cut directional links, sorted (for reports)."""
-        return sorted(self._region_links_down)

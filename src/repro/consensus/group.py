@@ -290,14 +290,3 @@ class MetadataCluster:
             reachable,
             key=lambda r: (-self.nodes[r].commit_index, r),
         )
-
-    def run_until_leader(self, deadline: float) -> Optional[str]:
-        """Test helper: advance the simulator until a leader exists."""
-        step = 0.5
-        while self._simulator.now < deadline:
-            if self.leader() is not None:
-                return self.leader()
-            self._simulator.run_until(
-                min(deadline, self._simulator.now + step)
-            )
-        return self.leader()

@@ -124,10 +124,6 @@ class ReplicatedDatastore(Datastore):
                 return
             self._pending.pop(0)
 
-    @property
-    def pending_writes(self) -> int:
-        return len(self._pending)
-
     def set(self, key: str, value: Any) -> None:
         self._submit(("set", key, value))
 

@@ -116,9 +116,6 @@ class Transport:
                  handler: Callable[[Message], None]) -> None:
         self._handlers[replica_id] = handler
 
-    def replica_ids(self) -> list[str]:
-        return sorted(self._handlers)
-
     def reachable(self, src: str, dst: str) -> bool:
         """Is the directional link ``src → dst`` currently up?"""
         return bool(self._link_up(src, dst))

@@ -509,12 +509,6 @@ class CubrickDeployment:
 
         return StreamingLoader(self, table, batch_rows=batch_rows)
 
-    def workload_manager(self, policy=None):
-        """A :class:`~repro.sched.WorkloadManager` in front of this proxy."""
-        from repro.sched.manager import WorkloadManager
-
-        return WorkloadManager(self, policy=policy)
-
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------

@@ -74,9 +74,6 @@ class SlaPlanner:
     def meets_sla(self, fanout: int) -> bool:
         return query_success_ratio(fanout, self.failure_probability) >= self.sla
 
-    def expected_success(self, fanout: int) -> float:
-        return query_success_ratio(fanout, self.failure_probability)
-
     def headroom(self, fanout: int) -> int:
         """How much further the fan-out can grow before hitting the wall."""
         return self.max_safe_fanout - fanout

@@ -15,7 +15,6 @@ directly (no ``.tolist()`` round-trip), ``columns()`` concatenates the
 chunks once and caches the result (collapsing the chunk list so repeated
 reads never re-concatenate), and decompression materialises arrays
 straight from the zlib blobs without rebuilding Python list builders.
-A one-row ``append`` is a one-row chunk.
 
 Compression here is *real*: column arrays are serialised and
 zlib-compressed, so compressed footprints and the compression ratio come
@@ -110,10 +109,6 @@ class Brick:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-
-    def append(self, row: dict[str, float]) -> None:
-        """Append one row (a one-row :meth:`append_columns`)."""
-        self.append_columns({name: [row[name]] for name in self._column_names})
 
     def append_columns(self, columns: dict[str, np.ndarray]) -> None:
         """Bulk-append pre-validated column arrays (same length each),
@@ -290,8 +285,9 @@ class Brick:
     def evict(self) -> None:
         """Move the brick's (compressed) bytes to SSD; frees all memory.
 
-        An unevicted read (:meth:`columns`, :meth:`append`) transparently
-        pays one IO and restores the compressed-in-memory state.
+        An unevicted read (:meth:`columns`, :meth:`append_columns`)
+        transparently pays one IO and restores the compressed-in-memory
+        state.
         """
         if self._ssd is not None:
             return

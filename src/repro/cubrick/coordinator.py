@@ -689,6 +689,8 @@ class RegionCoordinator:
 
         Mirrors the graceful-migration forwarding window: the old server
         no longer has the data but the migration published a new owner.
+        An owner that is down, unregistered or without the partition
+        fails the attempt like any other failed host.
         """
         shards = self.directory.shards_for_table(query.table)
         partial = PartialResult(query=query)
@@ -701,16 +703,23 @@ class RegionCoordinator:
                     region=self.region,
                     host=stale_host,
                 ) from original
-            try:
-                node = self.sm.app_server(owner)
-            except ConfigurationError as exc:
+            if not self.sm.cluster.host(owner).is_available:
                 raise QueryFailedError(
                     f"authoritative owner {owner} of {query.table}#{index} "
-                    f"is not registered with the shard manager",
+                    f"is unavailable",
+                    region=self.region,
+                    host=owner,
+                ) from original
+            try:
+                node = self.sm.app_server(owner)
+                partial.merge(node.execute_local(query, [index], extra_lookups))
+            except (ConfigurationError, PartitionNotFoundError) as exc:
+                raise QueryFailedError(
+                    f"authoritative owner {owner} cannot serve "
+                    f"{query.table}#{index}: {exc}",
                     region=self.region,
                     host=owner,
                 ) from exc
-            partial.merge(node.execute_local(query, [index], extra_lookups))
         return partial
 
     # ------------------------------------------------------------------

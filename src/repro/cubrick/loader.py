@@ -98,10 +98,6 @@ class StreamingLoader:
     # Ingestion
     # ------------------------------------------------------------------
 
-    def append(self, row: dict[str, float]) -> None:
-        """Validate, route and buffer one row (a one-row batch)."""
-        self.append_many([row])
-
     def append_many(self, rows: list[dict[str, float]]) -> None:
         """Validate, route and buffer a batch; flush partitions that fill.
 

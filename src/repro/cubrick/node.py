@@ -65,10 +65,6 @@ class CubrickNode(ApplicationServer):
         self.catalog = catalog
         self.directory = directory
         self.obs = obs if obs is not None else Observability()
-        # Optional multi-core brick scanning (repro.cubrick.parallel).
-        # None = serial scans; the DES simulation leaves it unset so
-        # seeded runs stay byte-identical.
-        self.parallel_scanner = None
         self.memory_bytes = memory_bytes
         self.ssd_bytes = ssd_bytes
         self.exporter = exporter if exporter is not None else DecompressedSizeExporter()
@@ -389,14 +385,7 @@ class CubrickNode(ApplicationServer):
         coordinator-built lookups for broadcast joins against *sharded*
         dimension tables (dotted references the local replicas cannot
         answer).
-
-        When a :class:`~repro.cubrick.parallel.ParallelScanner` is
-        attached (``node.parallel_scanner = scanner``), each partition's
-        brick scans fan out across its worker pool; results are
-        bit-identical to the serial path. The DES simulation never
-        attaches one, so seeded runs stay byte-identical.
         """
-        scanner = self.parallel_scanner
         lookups = self._join_lookups(query)
         if extra_lookups:
             lookups = {**lookups, **extra_lookups}
@@ -416,17 +405,12 @@ class CubrickNode(ApplicationServer):
                     table=query.table,
                     family=family,
                 ) as kspan:
-                    if scanner is not None:
-                        partial.merge(scanner.execute(storage, query, lookups))
-                    else:
-                        partial.merge(storage.execute(query, lookups))
+                    partial.merge(storage.execute(query, lookups))
                     kspan.annotate(
                         partition=index,
                         rows_scanned=partial.rows_scanned - before_rows,
                         bricks_scanned=partial.bricks_scanned - before_bricks,
                     )
-            elif scanner is not None:
-                partial.merge(scanner.execute(storage, query, lookups))
             else:
                 partial.merge(storage.execute(query, lookups))
         self.obs.metrics.counter(

@@ -217,10 +217,6 @@ class TableSchema:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema payload: {exc}") from exc
 
-    def validate_row(self, row: dict[str, float]) -> None:
-        """Check one row (a one-row :meth:`columns_of_rows`)."""
-        self.columns_of_rows([row])
-
     def columns_of_rows(self, rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
         """Pivot row dicts to validated columns, one pass per column: the
         row API's way onto the column path. Extra keys are ignored."""

@@ -12,7 +12,7 @@ adaptive compression — paper §IV-F2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -83,17 +83,6 @@ class PartitionStorage:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-
-    def insert(self, row: dict[str, float]) -> int:
-        """Insert one row (a one-row :meth:`insert_columns`); returns
-        the brick id it landed in."""
-        self.insert_many([row])
-        return self.index.brick_of(row)
-
-    def insert_many(self, rows: Iterable[dict[str, float]]) -> int:
-        """Insert row dicts, pivoted once to columns; returns the count."""
-        columns = self.schema.columns_of_rows(list(rows))
-        return self.insert_columns(columns, validated=True)
 
     def insert_columns(
         self, columns: dict[str, np.ndarray], *, validated: bool = False
@@ -174,15 +163,6 @@ class PartitionStorage:
         """Footprint if everything were decompressed (LB generation 2)."""
         return sum(b.decompressed_bytes() for b in self._bricks.values())
 
-    def all_rows(self) -> list[dict[str, float]]:
-        """Every row as a dict (the row view of :meth:`all_columns`)."""
-        columns = self.all_columns()
-        names = list(columns)
-        return [
-            dict(zip(names, values))
-            for values in zip(*(columns[name].tolist() for name in names))
-        ]
-
     def all_columns(self) -> dict[str, np.ndarray]:
         """Materialise every row as column arrays, bricks in id order
         (re-partitions and migrations feed it to :meth:`insert_columns`)."""
@@ -203,8 +183,7 @@ class PartitionStorage:
         — the Granular Partitioning pruning decision, without executing
         or touching hotness counters.
         """
-        buckets = self._filter_buckets(query.filters)
-        candidates = list(self.index.prune(buckets, sorted(self._bricks)))
+        candidates = self.candidate_brick_ids(query)
         rows = sum(self._bricks[bid].rows for bid in candidates)
         return {
             "bricks_total": len(self._bricks),
@@ -232,44 +211,23 @@ class PartitionStorage:
         """
         effective_lookups = lookups if lookups is not None else {}
         self._validate_query(query, effective_lookups)
-        partial = self.scan_bricks(
-            query, self.candidate_brick_ids(query), effective_lookups
-        )
-        self.record_scan(partial)
-        return partial
-
-    def candidate_brick_ids(self, query: Query) -> list[int]:
-        """Brick ids surviving Granular Partitioning pruning, in id order.
-
-        The scan unit list for both the serial path and the
-        :class:`~repro.cubrick.parallel.ParallelScanner` fan-out —
-        scanning these in id order is what makes results deterministic
-        regardless of how the list is split across workers.
-        """
-        buckets = self._filter_buckets(query.filters)
-        return list(self.index.prune(buckets, sorted(self._bricks)))
-
-    def scan_bricks(
-        self,
-        query: Query,
-        brick_ids: Iterable[int],
-        lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
-    ) -> PartialResult:
-        """Scan the given bricks (already pruned) into one partial.
-
-        Does not touch observability counters — callers that complete a
-        logical query over this partition call :meth:`record_scan` on
-        the merged partial exactly once.
-        """
-        effective_lookups = lookups if lookups is not None else {}
-        self._validate_query(query, effective_lookups)
         partial = PartialResult(query=query)
-        for brick_id in brick_ids:
+        for brick_id in self.candidate_brick_ids(query):
             brick = self._bricks[brick_id]
             brick.touch()
             partial.bricks_scanned += 1
             self._scan_brick(brick, query, partial, effective_lookups)
+        if self._scanned_counter is not None:
+            self._scanned_counter.inc(partial.bricks_scanned)
+            self._pruned_counter.inc(len(self._bricks) - partial.bricks_scanned)
+            self._rows_scanned_counter.inc(partial.rows_scanned)
         return partial
+
+    def candidate_brick_ids(self, query: Query) -> list[int]:
+        """Brick ids surviving Granular Partitioning pruning, in id order;
+        scanning them in id order keeps results deterministic."""
+        buckets = self._filter_buckets(query.filters)
+        return list(self.index.prune(buckets, sorted(self._bricks)))
 
     def project(
         self, columns: list[str], filters: tuple[Filter, ...] = ()
@@ -325,13 +283,6 @@ class PartitionStorage:
                 )
                 out[name] = np.empty(0, dtype=dtype)
         return out
-
-    def record_scan(self, partial: PartialResult) -> None:
-        """Record one completed partition scan in the obs counters."""
-        if self._scanned_counter is not None:
-            self._scanned_counter.inc(partial.bricks_scanned)
-            self._pruned_counter.inc(len(self._bricks) - partial.bricks_scanned)
-            self._rows_scanned_counter.inc(partial.rows_scanned)
 
     def _validate_query(
         self, query: Query, lookups: dict[str, tuple[str, np.ndarray]]

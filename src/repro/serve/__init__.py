@@ -11,13 +11,12 @@ TID251 wall-clock boundary) and the gateway's
 ``simulator.run_until(clock.now())``, called when a request arrives and
 when its event-driven pump timer fires.
 
-``repro bench-serve`` (:mod:`repro.serve.bench`) is the closed-loop
-harness that measures the whole thing end to end: N concurrent clients
-with Zipf tenant skew, reporting sustained QPS, p50/p95/p99, admission
-rejects and cache hit rate as ``BENCH_serve.json``.
+The perf ledger (``benchmarks/perf``, workloads ``serve_hot`` and
+``serve_churn``) measures the whole thing end to end, driving a gateway
+in its own process from a load generator in another and checking every
+answer against a reference.
 """
 
-from repro.serve.bench import render_report, run_bench_async, write_report
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.clock import RealTimeClock
 from repro.serve.deploy import (
@@ -53,9 +52,6 @@ __all__ = [
     "encode_frame",
     "query_from_spec",
     "read_frame",
-    "render_report",
-    "run_bench_async",
     "serve_policy",
     "write_frame",
-    "write_report",
 ]

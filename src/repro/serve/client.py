@@ -2,9 +2,9 @@
 
 Speaks the length-prefixed JSON protocol over one TCP connection, with
 request-id correlation so callers may pipeline concurrent requests on a
-single socket (responses can arrive out of order). This is what the
-``repro bench-serve`` closed-loop harness drives — and a reference
-implementation for anyone wiring up a client in another language.
+single socket (responses can arrive out of order). The tests drive the
+gateway through it, and it is a reference implementation for anyone
+wiring up a client in another language.
 
 Server-reported errors come back as :class:`ServeError` carrying the
 typed ``code`` from the wire; transport failures raise

@@ -10,7 +10,7 @@ progress.
 
 This module is that something, and the **only** such place: the TID251
 per-file ignore in ``pyproject.toml`` names exactly this file. Every
-other serving-tier component (gateway, pump, bench harness) takes a
+other serving-tier component (gateway, pump) takes a
 :class:`RealTimeClock` — or any zero-argument float callable — by
 injection, which keeps them testable with a fake clock and keeps the
 wall clock corralled behind one auditable seam.

@@ -1,8 +1,8 @@
 """Standard serving deployment: the fleet the gateway fronts.
 
-One place builds the deployment ``repro serve`` and ``repro bench-serve``
-run against, so the server, the benchmark harness and the tests all
-agree on the fleet shape — the same three-region dashboard deployment
+One place builds the deployment ``repro serve`` runs against, so the
+server, the perf ledger (``benchmarks/perf``) and the tests all agree on
+the fleet shape — the same three-region dashboard deployment
 the overload experiment uses (:mod:`repro.workloads.loadgen`), warmed
 up and wrapped in a :class:`~repro.sched.WorkloadManager`.
 

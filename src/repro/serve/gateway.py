@@ -181,7 +181,7 @@ def query_from_spec(spec: dict) -> Query:
 
 @dataclass
 class GatewayStats:
-    """Running totals the ``stats`` op and the bench harness read."""
+    """Running totals the ``stats`` op and the perf ledger read."""
 
     connections_total: int = 0
     connections_open: int = 0
@@ -677,7 +677,7 @@ class ServeGateway:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Gateway + fleet counters for the ``stats`` op and the bench."""
+        """Gateway + fleet counters for the ``stats`` op and the ledger."""
         out = self.stats.snapshot()
         out["pending"] = self._pending
         out["draining"] = self._draining

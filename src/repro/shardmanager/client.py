@@ -51,13 +51,6 @@ class SMClient:
             raise ShardMappingUnknownError(f"shard {shard_id} is unassigned")
         return host_id
 
-    def resolve_authoritative(self, shard_id: int) -> str:
-        """Shard → host bypassing the cache (SM server's own view)."""
-        host_id = self._server.discovery.resolve_authoritative(shard_id)
-        if host_id is None:
-            raise ShardMappingUnknownError(f"shard {shard_id} is unassigned")
-        return host_id
-
     def shard_map(self) -> dict[int, list[tuple[str, str]]]:
         """The journaled shard map read through the metadata plane.
 

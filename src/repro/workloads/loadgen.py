@@ -65,9 +65,9 @@ def zipf_tenant_weights(tenants: int, zipf_s: float) -> list[float]:
     """Normalised Zipf traffic shares for ``tenants`` ranked hot-to-cold.
 
     The one tenant-skew formula every load harness shares —
-    :class:`TrafficGenerator` on the DES clock and the serving tier's
-    ``repro bench-serve`` on the real clock draw from the same
-    distribution, so their mixes are comparable.
+    :class:`TrafficGenerator` on the DES clock and the perf ledger's
+    serving workloads (``benchmarks/perf``) on the real clock draw from
+    the same distribution, so their mixes are comparable.
     """
     if tenants <= 0:
         raise ConfigurationError(f"tenants must be positive: {tenants}")

@@ -8,10 +8,12 @@ import pytest
 from repro.cluster.topology import Cluster
 from repro.core.deployment import CubrickDeployment, DeploymentConfig
 from repro.cubrick.schema import Dimension, Metric, TableSchema
+from repro.cubrick.sql import render_query
 from repro.shardmanager.app_server import InMemoryApplicationServer
 from repro.shardmanager.server import SMServer
 from repro.shardmanager.spec import ServiceSpec
 from repro.sim.engine import Simulator
+from repro.workloads.queries import QueryGenerator
 
 
 def pytest_addoption(parser):
@@ -84,6 +86,30 @@ def make_rows(schema: TableSchema, count: int, seed: int = 0) -> list[dict]:
             row[metric.name] = float(generator.integers(1, 100))
         rows.append(row)
     return rows
+
+
+def insert_rows(storage, rows) -> int:
+    """Load row dicts into a partition through the one column path."""
+    return storage.insert_columns(storage.schema.columns_of_rows(list(rows)))
+
+
+def tenant_pools(
+    seed: int, tenants: int, pool_size: int, deployment
+) -> list[list[str]]:
+    """Per-tenant fixed SQL dashboards over a deployment's sharded tables,
+    rendered through the canonical SQL printer so identical entries share
+    one cache key."""
+    rng = np.random.default_rng(seed)
+    schemas = [
+        info.schema
+        for __, info in sorted(deployment.catalog.tables.items())
+        if not info.replicated
+    ]
+    generator = QueryGenerator(schemas, rng)
+    return [
+        [render_query(generator.next_query()) for __ in range(pool_size)]
+        for __ in range(tenants)
+    ]
 
 
 def region_rows(deployment, sm, table: str) -> int:

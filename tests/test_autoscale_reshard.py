@@ -18,6 +18,7 @@ from repro.cubrick.query import AggFunc, Aggregation, Query
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.sharding import generation_alias, logical_table
 from repro.errors import ConfigurationError, TableNotFoundError
+from tests.conftest import insert_rows
 
 
 def build_deployment(seed=0, *, regions=2, racks=2, hosts_per_rack=3,
@@ -229,9 +230,7 @@ class TestStagedReshard:
         shards = deployment.directory.shards_for_table(op.new_physical)
         owner = sm.discovery.resolve_authoritative(shards[0])
         node = sm.app_server(owner)
-        node.partition(op.new_physical, 0).insert_many(
-            [{"day": 1, "clicks": 5.0}]
-        )
+        insert_rows(node.partition(op.new_physical, 0), [{"day": 1, "clicks": 5.0}])
         deployment.simulator.run_until(deployment.simulator.now + 60.0)
         assert op.state is ReshardState.ABORTED
         assert "mismatch" in op.note

@@ -7,7 +7,7 @@ from repro.cubrick.granular import GranularIndex
 from repro.cubrick.query import AggFunc, Aggregation, Query
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import CubrickError, SchemaError
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 def columns_from_rows(rows):
@@ -19,7 +19,7 @@ class TestInsertColumns:
     def test_equivalent_to_row_inserts(self, events_schema):
         rows = make_rows(events_schema, 400, seed=31)
         by_rows = PartitionStorage(events_schema, 0)
-        by_rows.insert_many(rows)
+        insert_rows(by_rows, rows)
         by_columns = PartitionStorage(events_schema, 0)
         assert by_columns.insert_columns(columns_from_rows(rows)) == 400
 
@@ -154,10 +154,10 @@ class TestInsertColumns:
         }
         one_by_one = PartitionStorage(events_schema, 0)
         for row in rows[:700]:
-            one_by_one.insert(row)
-        one_by_one.insert_many(rows[700:])
+            insert_rows(one_by_one, [row])
+        insert_rows(one_by_one, rows[700:])
         by_rows = PartitionStorage(events_schema, 0)
-        by_rows.insert_many(rows)
+        insert_rows(by_rows, rows)
         by_columns = PartitionStorage(events_schema, 0)
         by_columns.insert_columns(columns_from_rows(rows))
         for storage in (one_by_one, by_rows, by_columns):

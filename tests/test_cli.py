@@ -56,7 +56,7 @@ class TestCommands:
 
     def test_demo_sql(self, capsys):
         assert main([
-            "demo-sql",
+            "sql",
             "SELECT count(*) FROM events WHERE day = 1",
             "--rows", "500",
         ]) == 0
@@ -68,7 +68,7 @@ class TestCommands:
         from repro.errors import QueryError
 
         with pytest.raises(QueryError):
-            main(["demo-sql", "SELEC oops", "--rows", "10"])
+            main(["sql", "SELEC oops", "--rows", "10"])
 
     def test_sql_sharded_join(self, capsys):
         assert main([

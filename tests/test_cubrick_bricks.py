@@ -9,16 +9,18 @@ from repro.cubrick.bricks import Brick
 def make_brick(rows=100, seed=0) -> Brick:
     brick = Brick(0, ("day",), ("value",))
     rng = np.random.default_rng(seed)
-    for __ in range(rows):
-        brick.append({"day": int(rng.integers(10)), "value": 1.0})
+    brick.append_columns({
+        "day": [int(rng.integers(10)) for __ in range(rows)],
+        "value": [1.0] * rows,
+    })
     return brick
 
 
 class TestAppendAndRead:
     def test_append_and_columns(self):
         brick = Brick(5, ("d",), ("m",))
-        brick.append({"d": 1, "m": 2.5})
-        brick.append({"d": 3, "m": 4.5})
+        brick.append_columns({"d": [1], "m": [2.5]})
+        brick.append_columns({"d": [3], "m": [4.5]})
         arrays = brick.columns()
         assert arrays["d"].tolist() == [1, 3]
         assert arrays["m"].tolist() == [2.5, 4.5]
@@ -47,9 +49,9 @@ class TestAppendAndRead:
 
     def test_append_after_read_invalidates_cache(self):
         brick = Brick(0, ("d",), ("m",))
-        brick.append({"d": 1, "m": 1.0})
+        brick.append_columns({"d": [1], "m": [1.0]})
         first = brick.columns()
-        brick.append({"d": 2, "m": 2.0})
+        brick.append_columns({"d": [2], "m": [2.0]})
         assert brick.columns()["d"].tolist() == [1, 2]
         assert len(first["d"]) == 1  # old snapshot untouched
 
@@ -123,7 +125,7 @@ class TestCompression:
     def test_append_to_compressed_brick(self):
         brick = make_brick(rows=10)
         brick.compress()
-        brick.append({"day": 5, "value": 9.0})
+        brick.append_columns({"day": [5], "value": [9.0]})
         assert brick.rows == 11
         assert brick.columns()["value"][-1] == 9.0
 
@@ -148,7 +150,6 @@ class TestCompression:
 
     def test_decompressed_bytes_formula(self):
         brick = Brick(0, ("a", "b"), ("m",))
-        for __ in range(10):
-            brick.append({"a": 1, "b": 2, "m": 3.0})
+        brick.append_columns({"a": [1] * 10, "b": [2] * 10, "m": [3.0] * 10})
         # 10 rows x (2 dims x 8B + 1 metric x 8B) = 240 bytes
         assert brick.decompressed_bytes() == 240

@@ -25,8 +25,10 @@ def make_bricks(count, rows_each=200, hotness=None):
     rng = np.random.default_rng(1)
     for i in range(count):
         brick = Brick(i, ("d",), ("m",))
-        for __ in range(rows_each):
-            brick.append({"d": int(rng.integers(100)), "m": float(rng.random())})
+        d, m = zip(*[
+            (int(rng.integers(100)), float(rng.random())) for __ in range(rows_each)
+        ])
+        brick.append_columns({"d": d, "m": m})
         if hotness is not None:
             brick.hotness = hotness[i]
         bricks.append(brick)

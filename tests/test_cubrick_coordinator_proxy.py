@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.deployment import CubrickDeployment, DeploymentConfig
 from repro.cubrick.query import AggFunc, Aggregation, Query
+from repro.cubrick.storage import PartitionStorage
 from repro.errors import (
     AdmissionControlError,
     QueryFailedError,
@@ -11,7 +12,7 @@ from repro.errors import (
 )
 from repro.workloads.fanout_experiment import probe_schema
 from repro.workloads.queries import simple_probe_query
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 def probe(deployment, table="events"):
@@ -71,6 +72,88 @@ class TestCoordinator:
             coordinator.execute(probe(tiny_deployment))
         assert 0.0 < coordinator.success_ratio() < 1.0
         tiny_deployment.cluster.host(victim).recover()
+
+
+class TestStaleRouting:
+    """A shard moved while the coordinator's SMC view still names its old
+    host, which already dropped the data: the coordinator must ask the
+    authoritative owner, or fail the attempt — never answer short."""
+
+    QUERY = Query.build(
+        "events",
+        [Aggregation(AggFunc.SUM, "clicks"), Aggregation(AggFunc.COUNT, "cost")],
+        group_by=["day"],
+    )
+
+    @pytest.fixture
+    def moved(self, events_schema):
+        deployment = CubrickDeployment(
+            DeploymentConfig(seed=5, regions=1, racks_per_region=2,
+                             hosts_per_rack=6)
+        )
+        deployment.create_table(events_schema)
+        rows = make_rows(events_schema, 400, seed=3)
+        deployment.load("events", rows)
+        deployment.simulator.run_until(30.0)
+        sm = deployment.sm_servers["region0"]
+        coordinator = deployment.coordinators["region0"]
+        stale_host = sorted(coordinator.partition_hosts("events"))[0]
+        [index] = coordinator.partition_hosts("events")[stale_host]
+        shard = deployment.directory.shards_for_table("events")[index]
+        # No grace period: the old host drops the shard before the new
+        # mapping has reached the coordinator's SMC proxy.
+        sm.migrations.drop_grace_period = 0.0
+        assert sm.drain_host(stale_host) > 0
+        deployment.simulator.run_until(deployment.simulator.now)
+        assert stale_host in coordinator.partition_hosts("events")
+        assert not sm.app_server(stale_host).has_partition("events", index)
+        owner = sm.discovery.resolve_authoritative(shard)
+        assert owner != stale_host
+        return deployment, rows, stale_host, index, shard, owner
+
+    def test_answer_comes_from_the_authoritative_owner(self, moved, events_schema):
+        deployment, rows, *__ = moved
+        reference = PartitionStorage(events_schema, 0)
+        insert_rows(reference, rows)
+        expected = reference.execute(self.QUERY).finalize().rows
+        result = deployment.coordinators["region0"].execute(self.QUERY)
+        assert sorted(result.rows) == sorted(expected)
+        assert result.metadata["coverage"] == 1.0
+
+    def test_unassigned_owner_fails_the_attempt(self, moved):
+        deployment, __, stale_host, __, shard, __ = moved
+        sm = deployment.sm_servers["region0"]
+        sm.discovery.publish(shard, None, deployment.simulator.now)
+        with pytest.raises(QueryFailedError) as excinfo:
+            deployment.coordinators["region0"].execute(self.QUERY)
+        assert excinfo.value.host == stale_host
+        assert excinfo.value.retryable
+
+    def test_owner_without_the_partition_fails_the_attempt(self, moved):
+        deployment, __, __, __, shard, owner = moved
+        deployment.sm_servers["region0"].app_server(owner).drop_shard(shard)
+        with pytest.raises(QueryFailedError) as excinfo:
+            deployment.coordinators["region0"].execute(self.QUERY)
+        assert excinfo.value.host == owner
+
+    def test_down_owner_fails_the_attempt(self, moved):
+        deployment, __, __, __, __, owner = moved
+        deployment.cluster.host(owner).fail(permanent=False)
+        with pytest.raises(QueryFailedError) as excinfo:
+            deployment.coordinators["region0"].execute(self.QUERY)
+        assert excinfo.value.host == owner
+
+    def test_authoritative_host_without_its_data_fails(self, tiny_deployment):
+        # The stale host is still the authoritative owner: nobody else
+        # to ask.
+        coordinator = tiny_deployment.coordinators["region0"]
+        host = sorted(coordinator.partition_hosts("events"))[0]
+        sm = tiny_deployment.sm_servers["region0"]
+        [shard] = sm.shards_on_host(host)
+        sm.app_server(host).drop_shard(shard)
+        with pytest.raises(QueryFailedError) as excinfo:
+            coordinator.execute(self.QUERY)
+        assert excinfo.value.host == host
 
 
 class TestProxy:

@@ -10,6 +10,7 @@ from repro.cubrick.schema import Catalog, Dimension, Metric, TableSchema
 from repro.cubrick.sharding import MonotonicHashMapper, ShardDirectory
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import PartitionNotFoundError, QueryError
+from tests.conftest import insert_rows
 
 FACT = TableSchema.build(
     "sales",
@@ -78,7 +79,7 @@ class TestStorageJoinExecution:
     @pytest.fixture
     def storage(self):
         part = PartitionStorage(FACT, 0)
-        part.insert_many(FACT_ROWS)
+        insert_rows(part, FACT_ROWS)
         return part
 
     def test_group_by_joined_column(self, storage):
@@ -145,8 +146,8 @@ class TestNodeJoins:
         shards = directory.register_table("sales", 1)
         node = CubrickNode("h1", catalog, directory)
         node.add_shard(shards[0], None)
-        node.partition("sales", 0).insert_many(FACT_ROWS)
-        node.store_replicated("dim_users").insert_many(DIM_ROWS)
+        insert_rows(node.partition("sales", 0), FACT_ROWS)
+        insert_rows(node.store_replicated("dim_users"), DIM_ROWS)
         return node
 
     def test_local_join_execution(self, node):

@@ -14,7 +14,7 @@ from repro.cubrick.loadbalance import (
 from repro.cubrick.node import CubrickNode
 from repro.cubrick.schema import Catalog
 from repro.cubrick.sharding import MonotonicHashMapper, ShardDirectory
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def loaded_node(events_schema):
         memory_budget=MemoryBudget(capacity_bytes=GIB),
     )
     node.add_shard(shards[0], None)
-    node.partition("events", 0).insert_many(make_rows(events_schema, 400, seed=3))
+    insert_rows(node.partition("events", 0), make_rows(events_schema, 400, seed=3))
     return node, shards
 
 
@@ -72,9 +72,7 @@ class TestGeneration2:
         node, shards = loaded_node
         exporter = DecompressedSizeExporter()
         before = exporter.shard_size(node, shards[0])
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 100, seed=4)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 100, seed=4))
         assert exporter.shard_size(node, shards[0]) > before
 
     def test_capacity_scaled_by_compression_ratio(self, loaded_node):

@@ -12,7 +12,7 @@ from repro.errors import (
     ShardAlreadyAssignedError,
     ShardNotFoundError,
 )
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 @pytest.fixture
@@ -42,8 +42,9 @@ class TestShardEndpoints:
     def test_drop_shard_deletes_data(self, env):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}]
+        insert_rows(
+            node.partition("events", 0),
+            [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}],
         )
         node.drop_shard(shards[0])
         assert not node.has_partition("events", 0)
@@ -80,7 +81,7 @@ class TestShardEndpoints:
         in_zero = [
             r for r in rows
         ]
-        node.partition("events", 0).insert_many(in_zero)
+        insert_rows(node.partition("events", 0), in_zero)
         target = CubrickNode("h2", catalog, directory)
         target.add_shard(shards[0], node)
         assert target.partition("events", 0).rows == 50
@@ -130,9 +131,6 @@ class TestAttachDetach:
         target_shard = next(s for s in other_shards if s not in shards)
         node.add_shard(target_shard, None)
         # ... and then a new table maps partitions onto both hosted shards.
-        node.attach_partition(shards[0], "t2", 1) if False else None
-        node.attach_partition(target_shard, "events", 1) if False else None
-        # Direct check of the collision detector with synthetic state:
         node.attach_partition(shards[0], "t2", 1)
         assert "t2" in node.has_shard_collision()
 
@@ -157,7 +155,7 @@ class TestLocalExecution:
             {"day": 1, "country": 2, "clicks": 5.0, "cost": 1.0},
             {"day": 2, "country": 3, "clicks": 7.0, "cost": 1.0},
         ]
-        node.partition("events", 0).insert_many(rows)
+        insert_rows(node.partition("events", 0), rows)
         query = Query.build("events", [Aggregation(AggFunc.SUM, "clicks")])
         partial = node.execute_local(query, [0])
         assert partial.finalize().scalar() == 12.0
@@ -174,7 +172,8 @@ class TestMetricsAndMaintenance:
     def test_shard_metrics_per_shard(self, env):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
+        insert_rows(
+            node.partition("events", 0),
             [{"day": 1, "country": 1, "clicks": 1.0, "cost": 1.0}] * 10,
         )
         metrics = node.shard_metrics()
@@ -196,9 +195,7 @@ class TestMetricsAndMaintenance:
             memory_budget=MemoryBudget(capacity_bytes=4096),
         )
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 500, seed=9)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 500, seed=9))
         report = node.run_memory_monitor()
         assert report.compressed > 0
         assert report.footprint_after < report.footprint_before
@@ -206,9 +203,7 @@ class TestMetricsAndMaintenance:
     def test_decay_hotness_counts_bricks(self, env, events_schema):
         __, __d, shards, node = env
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 100, seed=4)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 100, seed=4))
         assert node.decay_hotness() == node.partition("events", 0).brick_count
 
     def test_repr(self, env):

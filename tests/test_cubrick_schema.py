@@ -104,25 +104,28 @@ class TestTableSchema:
         assert events_schema.has_metric("cost")
         assert not events_schema.has_metric("day")
 
-    def test_validate_row_accepts_good_rows(self, events_schema):
-        events_schema.validate_row(
-            {"day": 3, "country": 50, "clicks": 1.0, "cost": 2.0}
+    def test_columns_of_rows_accepts_good_rows(self, events_schema):
+        columns = events_schema.columns_of_rows(
+            [{"day": 3, "country": 50, "clicks": 1.0, "cost": 2.0}]
         )
+        assert columns["country"].tolist() == [50]
 
-    def test_validate_row_rejects_missing_column(self, events_schema):
+    def test_columns_of_rows_rejects_missing_column(self, events_schema):
         with pytest.raises(SchemaError):
-            events_schema.validate_row({"day": 3, "clicks": 1.0, "cost": 2.0})
-
-    def test_validate_row_rejects_out_of_domain(self, events_schema):
-        with pytest.raises(SchemaError):
-            events_schema.validate_row(
-                {"day": 30, "country": 0, "clicks": 1.0, "cost": 2.0}
+            events_schema.columns_of_rows(
+                [{"day": 3, "clicks": 1.0, "cost": 2.0}]
             )
 
-    def test_validate_row_rejects_fractional_dimension(self, events_schema):
+    def test_columns_of_rows_rejects_out_of_domain(self, events_schema):
         with pytest.raises(SchemaError):
-            events_schema.validate_row(
-                {"day": 1.5, "country": 0, "clicks": 1.0, "cost": 2.0}
+            events_schema.columns_of_rows(
+                [{"day": 30, "country": 0, "clicks": 1.0, "cost": 2.0}]
+            )
+
+    def test_columns_of_rows_rejects_fractional_dimension(self, events_schema):
+        with pytest.raises(SchemaError):
+            events_schema.columns_of_rows(
+                [{"day": 1.5, "country": 0, "clicks": 1.0, "cost": 2.0}]
             )
 
 

@@ -13,14 +13,14 @@ from repro.cubrick.query import (
 )
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import QueryError
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 @pytest.fixture
 def loaded_storage(events_schema):
     storage = PartitionStorage(events_schema, partition_index=0)
     rows = make_rows(events_schema, 800, seed=11)
-    storage.insert_many(rows)
+    insert_rows(storage, rows)
     return storage, rows
 
 
@@ -205,7 +205,7 @@ class TestExecution:
 
     def test_empty_result_when_nothing_matches(self, events_schema):
         storage = PartitionStorage(events_schema, 0)
-        storage.insert({"day": 0, "country": 0, "clicks": 1.0, "cost": 1.0})
+        insert_rows(storage, [{"day": 0, "country": 0, "clicks": 1.0, "cost": 1.0}])
         result = storage.execute(
             Query.build(
                 "events",
@@ -229,11 +229,11 @@ class TestPartialMerge:
     def test_merge_two_partitions_equals_whole(self, events_schema):
         rows = make_rows(events_schema, 400, seed=5)
         whole = PartitionStorage(events_schema, 0)
-        whole.insert_many(rows)
+        insert_rows(whole, rows)
         left = PartitionStorage(events_schema, 0)
         right = PartitionStorage(events_schema, 1)
-        left.insert_many(rows[:200])
-        right.insert_many(rows[200:])
+        insert_rows(left, rows[:200])
+        insert_rows(right, rows[200:])
         query = Query.build(
             "events", [Aggregation(AggFunc.AVG, "clicks")], group_by=["day"]
         )
@@ -286,23 +286,22 @@ class TestPartialMerge:
 class TestStorageInternals:
     def test_insert_routes_to_granular_brick(self, events_schema):
         storage = PartitionStorage(events_schema, 0)
-        brick_id = storage.insert(
-            {"day": 0, "country": 0, "clicks": 1.0, "cost": 1.0}
-        )
-        assert brick_id == 0
-        brick_id2 = storage.insert(
-            {"day": 29, "country": 99, "clicks": 1.0, "cost": 1.0}
-        )
-        assert brick_id2 == storage.index.total_bricks - 1
+        insert_rows(storage, [
+            {"day": 0, "country": 0, "clicks": 1.0, "cost": 1.0},
+            {"day": 29, "country": 99, "clicks": 1.0, "cost": 1.0},
+        ])
+        assert [b.brick_id for b in storage.bricks()] == [
+            0, storage.index.total_bricks - 1
+        ]
 
-    def test_all_rows_roundtrip(self, events_schema):
+    def test_all_columns_roundtrip(self, events_schema):
         storage = PartitionStorage(events_schema, 0)
         rows = make_rows(events_schema, 50, seed=2)
-        storage.insert_many(rows)
-        recovered = storage.all_rows()
-        assert len(recovered) == 50
-        key = lambda r: tuple(sorted(r.items()))
-        assert sorted(map(key, recovered)) == sorted(map(key, rows))
+        insert_rows(storage, rows)
+        columns = storage.all_columns()
+        names = events_schema.column_names
+        recovered = sorted(zip(*(columns[name].tolist() for name in names)))
+        assert recovered == sorted(tuple(row[name] for name in names) for row in rows)
 
     def test_footprints(self, loaded_storage):
         storage, __ = loaded_storage

@@ -12,13 +12,13 @@ from repro.cubrick.query import (
 from repro.cubrick.sql import parse_query, render_query
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import QueryError
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 @pytest.fixture
 def storage(events_schema):
     part = PartitionStorage(events_schema, 0)
-    part.insert_many(make_rows(events_schema, 600, seed=41))
+    insert_rows(part, make_rows(events_schema, 600, seed=41))
     return part
 
 
@@ -86,7 +86,7 @@ class TestHavingExecution:
         yields the same surviving groups."""
         rows = make_rows(events_schema, 400, seed=42)
         whole = PartitionStorage(events_schema, 0)
-        whole.insert_many(rows)
+        insert_rows(whole, rows)
         sums = day_sums(whole)
         threshold = sorted(sums.values())[len(sums) // 2]
         query = Query.build(
@@ -98,8 +98,8 @@ class TestHavingExecution:
         expected = whole.execute(query).finalize().rows
         left = PartitionStorage(events_schema, 0)
         right = PartitionStorage(events_schema, 1)
-        left.insert_many(rows[:200])
-        right.insert_many(rows[200:])
+        insert_rows(left, rows[:200])
+        insert_rows(right, rows[200:])
         merged = left.execute(query).merge(right.execute(query)).finalize()
         assert merged.rows == expected
 

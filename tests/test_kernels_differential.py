@@ -29,6 +29,7 @@ from repro.cubrick.query import (
 )
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.storage import PartitionStorage
+from tests.conftest import insert_rows
 
 SCHEMA = TableSchema.build(
     "facts",
@@ -63,9 +64,9 @@ def _build_storage(rng: np.random.Generator) -> PartitionStorage:
         "cost": rng.integers(0, 800, size=ROWS) / 8.0,
     }
     storage.insert_columns(columns)
-    # A few rows through the row-at-a-time path too (pending buffers).
+    # A few one-row loads too (one-row brick chunks).
     for __ in range(50):
-        storage.insert(
+        insert_rows(storage, [
             {
                 "day": int(rng.integers(30)),
                 "country": int(rng.integers(50)),
@@ -73,7 +74,7 @@ def _build_storage(rng: np.random.Generator) -> PartitionStorage:
                 "clicks": float(rng.integers(0, 100)),
                 "cost": float(rng.integers(0, 800)) / 8.0,
             }
-        )
+        ])
     _cycle_brick_states(storage)
     return storage
 
@@ -305,10 +306,10 @@ def loaded_encoded():
         "cost": rng.integers(0, 800, size=ROWS) / 8.0,
     }
     storage.insert_columns(columns)
-    # Row appends after the bulk load: the per-brick dictionaries must
+    # One-row loads after the bulk load: the per-brick dictionaries must
     # extend incrementally instead of going stale.
     for __ in range(100):
-        storage.insert(
+        insert_rows(storage, [
             {
                 "day": int(rng.integers(30)),
                 "country": int(rng.integers(50)),
@@ -316,7 +317,7 @@ def loaded_encoded():
                 "clicks": float(rng.integers(0, 100)),
                 "cost": float(rng.integers(0, 800)) / 8.0,
             }
-        )
+        ])
     _cycle_brick_states(storage)
     return storage, _build_lookups(rng)
 

@@ -10,7 +10,7 @@ from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import ConfigurationError, QueryError
 from repro.workloads.fanout_experiment import probe_schema
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 def count_query(table):
@@ -45,8 +45,7 @@ def stream_rows(n, seed=0):
 class TestStreamingLoader:
     def test_append_buffers_until_batch(self, deployment):
         loader = deployment.loader("stream", batch_rows=100)
-        for row in stream_rows(50):
-            loader.append(row)
+        loader.append_many(stream_rows(50))
         assert loader.buffered_rows == 50
         assert loader.stats.rows_flushed == 0
 
@@ -94,7 +93,7 @@ class TestStreamingLoader:
         from repro.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            loader.append({"bucket": 64, "value": 1.0})  # out of domain
+            loader.append_many([{"bucket": 64, "value": 1.0}])  # out of domain
         assert loader.buffered_rows == 0
 
     def test_replicated_table_rejected(self, deployment):
@@ -128,7 +127,7 @@ class TestCountDistinct:
     @pytest.fixture
     def storage(self, events_schema):
         part = PartitionStorage(events_schema, 0)
-        part.insert_many(make_rows(events_schema, 500, seed=21))
+        insert_rows(part, make_rows(events_schema, 500, seed=21))
         return part
 
     def test_distinct_dimension(self, storage, events_schema):
@@ -172,8 +171,8 @@ class TestCountDistinct:
         rows = make_rows(events_schema, 400, seed=22)
         left = PartitionStorage(events_schema, 0)
         right = PartitionStorage(events_schema, 1)
-        left.insert_many(rows[:250])
-        right.insert_many(rows[150:])  # 100 rows overlap
+        insert_rows(left, rows[:250])
+        insert_rows(right, rows[150:])  # 100 rows overlap
         query = Query.build(
             "events", [Aggregation(AggFunc.COUNT_DISTINCT, "country")]
         )

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.cubrick.query import (
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.sharding import MonotonicHashMapper, NaiveHashMapper
 from repro.cubrick.storage import PartitionStorage
+from tests.conftest import insert_rows
 
 SCHEMA = TableSchema.build(
     "prop",
@@ -161,7 +163,7 @@ class TestQueryEngineProperties:
     @given(rows=st.lists(row_strategy, min_size=1, max_size=60))
     def test_sum_and_count_match_numpy(self, rows):
         storage = PartitionStorage(SCHEMA, 0)
-        storage.insert_many(rows)
+        insert_rows(storage, rows)
         query = Query.build(
             "prop",
             [Aggregation(AggFunc.SUM, "m"), Aggregation(AggFunc.COUNT, "m")],
@@ -185,15 +187,13 @@ class TestQueryEngineProperties:
             "prop", [Aggregation(AggFunc.SUM, "m")], group_by=["b"]
         )
         whole = PartitionStorage(SCHEMA, 0)
-        whole.insert_many(rows)
+        insert_rows(whole, rows)
         expected = whole.execute(query).finalize().rows
 
         merged = PartialResult(query=query)
         for i in range(splits):
             part = PartitionStorage(SCHEMA, i)
-            part.insert_many(
-                [r for j, r in enumerate(rows) if j % splits == i]
-            )
+            insert_rows(part, [r for j, r in enumerate(rows) if j % splits == i])
             merged.merge(part.execute(query))
         got = merged.finalize().rows
         assert len(got) == len(expected)
@@ -206,16 +206,16 @@ class TestQueryEngineProperties:
     def test_granular_routing_is_consistent(self, rows):
         """Every row lands in the brick its coordinates demand."""
         storage = PartitionStorage(SCHEMA, 0)
+        insert_rows(storage, rows)
         index = GranularIndex(SCHEMA)
-        for row in rows:
-            brick_id = storage.insert(row)
-            assert brick_id == index.brick_of(row)
+        expected = Counter(index.brick_of(row) for row in rows)
+        assert {b.brick_id: b.rows for b in storage.bricks()} == expected
 
     @settings(max_examples=20, deadline=None)
     @given(rows=st.lists(row_strategy, min_size=1, max_size=60))
     def test_compression_does_not_change_results(self, rows):
         storage = PartitionStorage(SCHEMA, 0)
-        storage.insert_many(rows)
+        insert_rows(storage, rows)
         query = Query.build(
             "prop", [Aggregation(AggFunc.SUM, "m")], group_by=["a"]
         )

@@ -28,9 +28,9 @@ from repro.serve import (
     build_serving_deployment,
     encode_frame,
 )
-from repro.serve.bench import _tenant_pools
 from repro.serve.gateway import RECENT_RECORDS
 from repro.serve.protocol import HEADER, ok_response
+from tests.conftest import tenant_pools
 
 
 async def started_gateway(**kwargs) -> ServeGateway:
@@ -58,7 +58,7 @@ def test_spliced_hit_frames_are_byte_identical_to_encoded_ones():
         gateway = await started_gateway()
         # Every statement shape the dashboard generator produces.
         statements = sorted(
-            {s for pool in _tenant_pools(0, 6, 8, gateway.deployment) for s in pool}
+            {s for pool in tenant_pools(0, 6, 8, gateway.deployment) for s in pool}
         )
         try:
             reader, writer = await asyncio.open_connection(*gateway.address)

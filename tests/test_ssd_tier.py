@@ -10,14 +10,16 @@ from repro.cubrick.node import CubrickNode
 from repro.cubrick.query import AggFunc, Aggregation, Query
 from repro.cubrick.schema import Catalog
 from repro.cubrick.sharding import MonotonicHashMapper, ShardDirectory
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 def make_brick(rows=200, seed=0) -> Brick:
     brick = Brick(0, ("d",), ("m",))
     rng = np.random.default_rng(seed)
-    for __ in range(rows):
-        brick.append({"d": int(rng.integers(10)), "m": float(rng.random())})
+    d, m = zip(*[
+        (int(rng.integers(10)), float(rng.random())) for __ in range(rows)
+    ])
+    brick.append_columns({"d": d, "m": m})
     return brick
 
 
@@ -49,7 +51,7 @@ class TestBrickEviction:
     def test_append_to_evicted_brick(self):
         brick = make_brick(rows=10)
         brick.evict()
-        brick.append({"d": 1, "m": 9.0})
+        brick.append_columns({"d": [1], "m": [9.0]})
         assert brick.rows == 11
         assert brick.io_reads == 1
 
@@ -90,10 +92,10 @@ class TestEvictingMonitor:
         rng = np.random.default_rng(1)
         for i in range(count):
             brick = Brick(i, ("d",), ("m",))
-            for __ in range(300):
-                brick.append(
-                    {"d": int(rng.integers(8)), "m": float(rng.random())}
-                )
+            d, m = zip(*[
+                (int(rng.integers(8)), float(rng.random())) for __ in range(300)
+            ])
+            brick.append_columns({"d": d, "m": m})
             if hotness is not None:
                 brick.hotness = hotness[i]
             bricks.append(brick)
@@ -154,9 +156,7 @@ class TestGen3Node:
             exporter=SsdExporter(),
         )
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 600, seed=5)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 600, seed=5))
         return node
 
     def test_monitor_evicts_and_queries_still_work(self, node):
@@ -189,9 +189,7 @@ class TestIopsAwareExporter:
             exporter=IopsAwareExporter(io_cost_bytes=1_000_000.0),
         )
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 400, seed=6)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 400, seed=6))
         shard = shards[0]
         baseline = node.exporter.shard_size(node, shard)
         # Evict, then hammer the shard with queries: every one pays IOs.
@@ -215,9 +213,7 @@ class TestIopsAwareExporter:
                                        smoothing_alpha=0.5),
         )
         node.add_shard(shards[0], None)
-        node.partition("events", 0).insert_many(
-            make_rows(events_schema, 400, seed=6)
-        )
+        insert_rows(node.partition("events", 0), make_rows(events_schema, 400, seed=6))
         shard = shards[0]
         query = Query.build("events", [Aggregation(AggFunc.COUNT, "clicks")])
         node.run_memory_monitor()

@@ -5,13 +5,13 @@ import pytest
 from repro.cubrick.query import AggFunc, Aggregation, Filter, Query
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import QueryError
-from tests.conftest import make_rows
+from tests.conftest import insert_rows, make_rows
 
 
 @pytest.fixture
 def storage(events_schema):
     part = PartitionStorage(events_schema, 0)
-    part.insert_many(make_rows(events_schema, 600, seed=13))
+    insert_rows(part, make_rows(events_schema, 600, seed=13))
     return part
 
 
@@ -88,7 +88,7 @@ class TestTopK:
         the coordinator applies shaping only after the final merge."""
         rows = make_rows(events_schema, 400, seed=14)
         whole = PartitionStorage(events_schema, 0)
-        whole.insert_many(rows)
+        insert_rows(whole, rows)
         query = Query.build(
             "events",
             [Aggregation(AggFunc.SUM, "clicks")],
@@ -100,8 +100,8 @@ class TestTopK:
 
         left = PartitionStorage(events_schema, 0)
         right = PartitionStorage(events_schema, 1)
-        left.insert_many(rows[:200])
-        right.insert_many(rows[200:])
+        insert_rows(left, rows[:200])
+        insert_rows(right, rows[200:])
         merged = left.execute(query).merge(right.execute(query)).finalize()
         assert merged.rows == expected
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.deployment import CubrickDeployment, DeploymentConfig
 from repro.workloads.fanout_experiment import probe_schema
+from tests.conftest import insert_rows
 
 
 @pytest.fixture
@@ -52,9 +53,7 @@ class TestVerifyReplicas:
         shards = deployment.directory.shards_for_table("audited")
         owner = sm.discovery.resolve_authoritative(shards[0])
         node = sm.app_server(owner)
-        node.partition("audited", 0).insert_many(
-            [{"bucket": 1, "value": 1.0}] * 5
-        )
+        insert_rows(node.partition("audited", 0), [{"bucket": 1, "value": 1.0}] * 5)
         audit = deployment.verify_replicas("audited")
         assert not audit["consistent"]
         assert audit["divergent_partitions"]

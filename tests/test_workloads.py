@@ -55,8 +55,7 @@ class TestTablePopulation:
         schema = specs[0].schema
         rows = list(generate_rows(schema, 200, rng))
         assert len(rows) == 200
-        for row in rows[:20]:
-            schema.validate_row(row)
+        schema.columns_of_rows(rows[:20])
 
     def test_invalid_count_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -156,7 +155,7 @@ class TestHotCold:
         bricks = []
         for i in range(count):
             brick = Brick(i, ("d",), ("m",))
-            brick.append({"d": 0, "m": 1.0})
+            brick.append_columns({"d": [0], "m": [1.0]})
             bricks.append(brick)
         return bricks
 
