@@ -41,7 +41,7 @@ from repro.cubrick.kernels import (  # noqa: E402
     group_counts,
     grouped_state_arrays,
 )
-from repro.cubrick.query import AggFunc, _block_states_to_python  # noqa: E402
+from repro.cubrick.query import AggFunc  # noqa: E402
 
 from conftest import report, report_json  # noqa: E402
 
@@ -171,10 +171,20 @@ def kernel_block(key_columns: list, values, func: AggFunc):
 def vectorised_scan(key_columns: list, values, func: AggFunc
                     ) -> dict[tuple, object]:
     """Kernel path materialised to a comparable dict (verification only;
-    the engine never builds per-group Python states on the scan path)."""
-    unique_keys, block = kernel_block(key_columns, values, func)
-    n_groups = len(unique_keys)
-    states = _block_states_to_python(func, block, n_groups)
+    the engine never builds per-group Python states)."""
+    unique_keys, state = kernel_block(key_columns, values, func)
+    if func is AggFunc.AVG:
+        states = list(zip(state[0].tolist(), state[1].tolist()))
+    elif func is AggFunc.COUNT_DISTINCT:
+        owners, distinct = state
+        # owners is sorted ascending: each group's values are one run.
+        bounds = np.searchsorted(owners, np.arange(len(unique_keys) + 1))
+        states = [
+            frozenset(distinct[start:end].tolist())
+            for start, end in zip(bounds[:-1], bounds[1:])
+        ]
+    else:
+        states = state.tolist()
     keys = [tuple(row) for row in unique_keys.tolist()]
     return dict(zip(keys, states))
 

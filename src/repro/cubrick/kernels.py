@@ -20,9 +20,12 @@ kernels per aggregate instead of a per-group Python loop:
 * COUNT_DISTINCT produces compact *(group, value)* pair arrays: values
   are dictionary-coded (integers directly, floats via one
   ``np.unique``), combined with the group index into composite codes and
-  deduplicated by the same dense-or-sort compaction. The pair arrays are
-  the merge-friendly partial state that crosses node → coordinator (see
-  :class:`repro.cubrick.query.DistinctState` for the scalar form).
+  deduplicated by one sort. The pair arrays are
+  the merge-friendly partial state that crosses node → coordinator.
+* Raw non-negative integer key columns whose ``max + 1`` is a dense code
+  space are their own codes (dictionary ``arange(max + 1)``), so neither
+  a brick group-by nor the coordinator's key consolidation sorts keys
+  that are already small integers.
 
 Grouped SUM kernels accumulate in row order (``bincount`` adds weights
 sequentially), exactly like a row-at-a-time reference aggregator. On
@@ -95,15 +98,34 @@ def compact_codes(
     return group_idx, unique_codes
 
 
+def _own_code_space(array: np.ndarray) -> int | None:
+    """``max + 1`` when a raw column can serve as its own codes.
+
+    Non-negative integers index a dictionary ``arange(max + 1)``
+    directly, so they need no ``np.unique`` sort; the caller decides
+    whether that code space is small enough to use.
+    """
+    if array.dtype.kind in "iu" and array.size and int(array.min()) >= 0:
+        return int(array.max()) + 1
+    return None
+
+
 def _column_codes(column: GroupColumn) -> tuple[np.ndarray, np.ndarray]:
     """(codes, dictionary) for one group-key column.
 
-    Encoded columns pass their load-time codes through unchanged; raw
-    columns pay one ``np.unique`` here (the pre-dictionary behaviour).
+    Encoded columns pass their load-time codes through unchanged. A raw
+    non-negative integer column whose ``max + 1`` is a dense code space
+    is its own code over ``arange(max + 1)``; any other raw column pays
+    one ``np.unique`` here. Both dictionaries are sorted, so the group
+    order stays lexicographic.
     """
     if isinstance(column, EncodedColumn):
         return np.asarray(column.codes), np.asarray(column.dictionary)
-    uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
+    array = np.asarray(column)
+    space = _own_code_space(array)
+    if space is not None and _dense_ok(space, len(array)):
+        return array, np.arange(space, dtype=np.int64)
+    uniques, inverse = np.unique(array, return_inverse=True)
     return inverse, uniques.astype(np.int64)
 
 
@@ -203,31 +225,26 @@ def group_distinct_pairs(
     ``distinct_values[k]`` is one distinct value of group ``owners[k]``.
     Values are dictionary-coded first (encoded/integer columns use their
     codes directly, floats pay one ``np.unique``), then the composite
-    ``group * n_values + value_code`` codes are deduplicated by
-    :func:`compact_codes` — no per-group Python objects anywhere.
+    ``group * n_values + value_code`` codes are deduplicated by one sort
+    (cheaper than ``np.unique``, and than a counting pass over the
+    usually sparse pair space) — no per-group Python objects anywhere.
     """
     if isinstance(values, EncodedColumn):
         value_codes, dictionary = (
             np.asarray(values.codes),
             np.asarray(values.dictionary),
         )
+        n_values = len(dictionary)
     else:
         array = np.asarray(values)
-        if (
-            np.issubdtype(array.dtype, np.integer)
-            and array.size
-            and 0 <= int(array.min())
-            and float(n_groups) * (int(array.max()) + 1) <= _MAX_CODE_SPACE
-        ):
+        space = _own_code_space(array)
+        if space is not None and float(n_groups) * space <= _MAX_CODE_SPACE:
             # Non-negative integers that fit the composite code space
             # are their own codes — skip the dictionary sort entirely.
-            value_codes, dictionary = array, None
+            value_codes, dictionary, n_values = array, None, space
         else:
             dictionary, value_codes = np.unique(array, return_inverse=True)
-    if dictionary is None:
-        n_values = int(value_codes.max()) + 1 if value_codes.size else 0
-    else:
-        n_values = len(dictionary)
+            n_values = len(dictionary)
     if value_codes.size == 0:
         return (
             np.empty(0, dtype=np.int64),
@@ -245,8 +262,8 @@ def group_distinct_pairs(
             | (sorted_values[1:] != sorted_values[:-1]),
         ]
         return sorted_idx[keep], sorted_values[keep]
-    codes = group_idx * n_values + value_codes
-    __, unique_codes = compact_codes(codes, n_groups * n_values)
+    codes = np.sort(group_idx * n_values + value_codes)
+    unique_codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
     owners = unique_codes // n_values
     value_part = unique_codes % n_values
     distinct = (
@@ -297,30 +314,34 @@ def grouped_state_arrays(
 
 
 def scalar_state(func: AggFunc, values: GroupColumn | None, matched: int):
-    """Merge-friendly state for one ungrouped aggregate (``matched`` > 0).
+    """Block-form state of one ungrouped aggregate (``matched`` > 0).
 
+    The same forms as :func:`grouped_state_arrays` for a single group.
     Uses numpy's standard reductions: for the single-group case a
     pairwise SIMD sum beats routing through :func:`group_sums`' one-bin
     bincount by ~5x per brick.
     """
-    from repro.cubrick.query import DistinctState
-
     if func is AggFunc.COUNT:
-        return float(matched)
+        return np.array([float(matched)])
     if isinstance(values, EncodedColumn):
         if func is AggFunc.COUNT_DISTINCT:
             # Distinct codes = distinct values; the dictionary is sorted,
             # so indexing with the sorted unique codes stays sorted.
-            return DistinctState(values.dictionary[np.unique(values.codes)])
+            distinct = values.dictionary[np.unique(values.codes)]
+            return np.zeros(len(distinct), dtype=np.int64), distinct
         values = values.dictionary[values.codes]
     if func is AggFunc.SUM:
-        return float(values.sum())
+        return np.array([values.sum()], dtype=np.float64)
     if func is AggFunc.MIN:
-        return float(values.min())
+        return np.array([values.min()], dtype=np.float64)
     if func is AggFunc.MAX:
-        return float(values.max())
+        return np.array([values.max()], dtype=np.float64)
     if func is AggFunc.AVG:
-        return (float(values.sum()), float(matched))
+        return (
+            np.array([values.sum()], dtype=np.float64),
+            np.array([float(matched)]),
+        )
     if func is AggFunc.COUNT_DISTINCT:
-        return DistinctState(np.unique(values))
+        distinct = np.unique(values)
+        return np.zeros(len(distinct), dtype=np.int64), distinct
     raise QueryError(f"unsupported aggregate: {func}")

@@ -6,14 +6,17 @@ metric aggregations. Execution is distributed — every host holding a
 partition computes a *partial result*, and the query coordinator merges
 partials and materialises the final result (paper §I, §IV-C).
 
-Partial aggregates are kept in merge-friendly state form (``avg`` is a
-(sum, count) pair) so partials combine associatively regardless of how
-rows were split across partitions.
+Partial aggregates are kept as arrays in merge-friendly state form
+(``avg`` is a (sum, count) pair) so partials combine associatively
+regardless of how rows were split across partitions; they stay arrays
+through HAVING, ORDER BY and LIMIT until the surviving rows are built.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -83,8 +86,9 @@ class AggFunc(enum.Enum):
     MIN = "min"
     MAX = "max"
     AVG = "avg"
-    # Exact distinct count; the partial state is the value set, which
-    # merges associatively across partitions like every other state.
+    # Exact distinct count; the partial state is the (group, value) pair
+    # set, which merges associatively across partitions like every other
+    # state.
     COUNT_DISTINCT = "count_distinct"
 
 
@@ -119,18 +123,19 @@ class Having:
     op: CompareOp
     value: float
 
-    def matches(self, actual) -> bool:
-        if actual is None:
-            return False
-        if self.op is CompareOp.GT:
-            return actual > self.value
-        if self.op is CompareOp.GE:
-            return actual >= self.value
-        if self.op is CompareOp.LT:
-            return actual < self.value
-        if self.op is CompareOp.LE:
-            return actual <= self.value
-        return actual == self.value
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Which entries of a result column pass; NaN (no value, as for
+        an empty MIN or AVG) never does."""
+        return _COMPARE[self.op](values, self.value)
+
+
+_COMPARE = {
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.EQ: operator.eq,
+}
 
 
 @dataclass(frozen=True)
@@ -259,111 +264,8 @@ def kernel_family(query: Query) -> str:
 
 
 # ----------------------------------------------------------------------
-# Aggregation state machinery
+# Partial results: one block representation from scan to final rows
 # ----------------------------------------------------------------------
-
-#: Merge-friendly state per aggregate:
-#:   SUM   -> float
-#:   COUNT -> float (count)
-#:   MIN   -> float or None
-#:   MAX   -> float or None
-#:   AVG   -> (sum, count)
-#:   COUNT_DISTINCT -> DistinctState (compact sorted-unique value array)
-AggState = object
-
-
-class DistinctState:
-    """Compact COUNT_DISTINCT partial state: a sorted-unique value array.
-
-    This is what crosses node → coordinator instead of a Python
-    frozenset: one int64/float64 numpy array per group, merged by
-    ``np.union1d``-style concatenate+unique. ``coerce`` accepts legacy
-    frozensets (and any iterable) so hand-written reference aggregators
-    keep working against the same merge machinery.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    @classmethod
-    def empty(cls) -> "DistinctState":
-        return cls(np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def coerce(cls, obj) -> "DistinctState":
-        if isinstance(obj, DistinctState):
-            return obj
-        if isinstance(obj, np.ndarray):
-            return cls(np.unique(obj))
-        values = list(obj)
-        if not values:
-            return cls.empty()
-        return cls(np.unique(np.asarray(values)))
-
-    def union(self, other: "DistinctState") -> "DistinctState":
-        if not len(other.values):
-            return self
-        if not len(self.values):
-            return other
-        return DistinctState(np.union1d(self.values, other.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        mine = self.values
-        theirs = (
-            other.values
-            if isinstance(other, DistinctState)
-            else DistinctState.coerce(other).values
-        )
-        return len(mine) == len(theirs) and bool(np.all(mine == theirs))
-
-    def __repr__(self) -> str:
-        return f"DistinctState({self.values.tolist()!r})"
-
-
-def initial_state(func: AggFunc) -> AggState:
-    if func is AggFunc.SUM or func is AggFunc.COUNT:
-        return 0.0
-    if func is AggFunc.MIN or func is AggFunc.MAX:
-        return None
-    if func is AggFunc.COUNT_DISTINCT:
-        return DistinctState.empty()
-    return (0.0, 0.0)  # AVG
-
-
-def merge_states(func: AggFunc, a: AggState, b: AggState) -> AggState:
-    if func is AggFunc.SUM or func is AggFunc.COUNT:
-        return float(a) + float(b)
-    if func is AggFunc.MIN:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-    if func is AggFunc.MAX:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return max(a, b)
-    if func is AggFunc.COUNT_DISTINCT:
-        return DistinctState.coerce(a).union(DistinctState.coerce(b))
-    return (a[0] + b[0], a[1] + b[1])  # AVG
-
-
-def finalize_state(func: AggFunc, state: AggState) -> Optional[float]:
-    if func is AggFunc.AVG:
-        total, count = state
-        return total / count if count else None
-    if func is AggFunc.MIN or func is AggFunc.MAX:
-        return state
-    if func is AggFunc.COUNT_DISTINCT:
-        return float(len(state))
-    return float(state)
 
 
 @dataclass
@@ -371,12 +273,19 @@ class _Block:
     """Array-form per-group states from one brick scan (or a compaction).
 
     ``keys`` is an ``(n_groups, n_key_cols)`` int64 array of distinct
-    group keys in lexicographic order; ``states`` holds one array-form
+    group keys in lexicographic order; an ungrouped query has no key
+    columns and one group, the empty key. ``states`` holds one array-form
     state per aggregation (see
-    :func:`repro.cubrick.kernels.grouped_state_arrays`). Blocks append
-    in O(1) during scans and merges; they are only consolidated when the
-    block list grows past the compaction threshold, and once more at
-    finalize.
+    :func:`repro.cubrick.kernels.grouped_state_arrays`):
+
+    * SUM / COUNT → float64 array of length ``n_groups``
+    * MIN / MAX → float64 array, NaN meaning "no value"
+    * AVG → ``(sums, counts)`` array pair
+    * COUNT_DISTINCT → ``(owners, values)`` pair arrays
+
+    Blocks append in O(1) during scans and merges; they are only
+    consolidated when the block list grows past the compaction
+    threshold, and once more at finalize.
     """
 
     keys: np.ndarray
@@ -392,75 +301,32 @@ _COMPACT_THRESHOLD = 64
 class PartialResult:
     """Per-group aggregate states from one partition (or a merge).
 
-    Two accumulation paths coexist:
-
-    * :meth:`accumulate_block` — the vectorised scan path: per-brick
-      group keys and array-form states append as a :class:`_Block`
-      without touching a Python dict. Blocks merge by concatenation and
-      are consolidated lazily (dense re-encode + bincount/scatter
-      kernels), so node→coordinator merges stay O(groups) array work.
-    * :meth:`accumulate` — the row/scalar path: plain-Python states
-      keyed by group tuple, used by ungrouped aggregates and by
-      row-at-a-time reference aggregators in tests.
+    States live in :class:`_Block` arrays from the brick scan to the
+    final rows. A brick scan appends its block without touching a Python
+    object per group (:meth:`accumulate_block`); partials merge by
+    concatenating block lists, consolidated lazily (dense re-encode +
+    bincount/scatter kernels), so node→coordinator merges stay
+    O(groups) array work. An ungrouped partial folds its blocks into one
+    before it merges, so its sums add brick by brick within a partition,
+    then partition by partition and host by host.
     """
 
     query: Query
     rows_scanned: int = 0
     bricks_scanned: int = 0
-    #: Merge/consolidate telemetry: lazy consolidation passes run and
-    #: array blocks folded by them, accumulated across merges so the
-    #: coordinator's merge span can report the whole chain's work.
+    #: Merge/consolidate telemetry: lazy consolidation passes run over
+    #: grouped blocks and the blocks folded by them, accumulated across
+    #: merges so the coordinator's merge span can report the whole
+    #: chain's work.
     compactions: int = 0
     blocks_consolidated: int = 0
     _blocks: list[_Block] = field(default_factory=list, repr=False)
-    _groups: dict[tuple[int, ...], list[AggState]] = field(
-        default_factory=dict, repr=False
-    )
-
-    @property
-    def groups(self) -> dict[tuple[int, ...], list[AggState]]:
-        """All per-group states as plain-Python state objects.
-
-        Consolidates any pending array blocks first; the returned dict
-        is a materialised *view* — mutate states through
-        :meth:`accumulate`, not through this dict.
-        """
-        if not self._blocks:
-            return self._groups
-        out: dict[tuple[int, ...], list[AggState]] = {}
-        block = self._consolidated()
-        if block is not None:
-            keys = [tuple(row) for row in block.keys.tolist()]
-            for i, agg in enumerate(self.query.aggregations):
-                states = _block_states_to_python(
-                    agg.func, block.states[i], len(keys)
-                )
-                for key, state in zip(keys, states):
-                    out.setdefault(key, []).append(state)
-        for key, states in self._groups.items():
-            existing = out.get(key)
-            if existing is None:
-                out[key] = list(states)
-            else:
-                for i, agg in enumerate(self.query.aggregations):
-                    existing[i] = merge_states(
-                        agg.func, existing[i], states[i]
-                    )
-        return out
-
-    def accumulate(self, key: tuple[int, ...], states: list[AggState]) -> None:
-        existing = self._groups.get(key)
-        if existing is None:
-            self._groups[key] = list(states)
-        else:
-            for i, agg in enumerate(self.query.aggregations):
-                existing[i] = merge_states(agg.func, existing[i], states[i])
 
     def accumulate_block(self, keys: np.ndarray, states: list) -> None:
-        """Append one brick scan's array-form states (the fast path)."""
+        """Append one brick scan's array-form states."""
         self._blocks.append(_Block(keys=keys, states=states))
         if len(self._blocks) >= _COMPACT_THRESHOLD:
-            self._compact()
+            self.block()
 
     def merge(self, other: "PartialResult") -> "PartialResult":
         if other.query.aggregations != self.query.aggregations:
@@ -472,279 +338,225 @@ class PartialResult:
                 "cannot merge partials with different group-bys: "
                 f"{self.query.group_by} vs {other.query.group_by}"
             )
-        self._blocks.extend(other._blocks)
+        if self.query.group_by:
+            self._blocks.extend(other._blocks)
+        else:  # both sides fold first: sums add partial by partial
+            self.block()
+            if other._blocks:
+                self._blocks.append(other.block())
         if len(self._blocks) >= _COMPACT_THRESHOLD:
-            self._compact()
-        for key, states in other._groups.items():
-            self.accumulate(key, states)
+            self.block()
         self.rows_scanned += other.rows_scanned
         self.bricks_scanned += other.bricks_scanned
         self.compactions += other.compactions
         self.blocks_consolidated += other.blocks_consolidated
         return self
 
-    # ------------------------------------------------------------------
-    # Block consolidation
-    # ------------------------------------------------------------------
-
-    def _compact(self) -> None:
+    def block(self) -> _Block:
+        """All states as one canonical block, consolidating pending ones
+        (a grouped consolidation counts as a compaction)."""
         if len(self._blocks) > 1:
-            self.compactions += 1
-            self.blocks_consolidated += len(self._blocks)
+            if self.query.group_by:
+                self.compactions += 1
+                self.blocks_consolidated += len(self._blocks)
             self._blocks = [_consolidate_blocks(self.query, self._blocks)]
+        return self._blocks[0] if self._blocks else _empty_block(self.query)
 
-    def _consolidated(self) -> Optional[_Block]:
-        """All pending blocks merged into one canonical block."""
-        if not self._blocks:
-            return None
-        self._compact()
-        return self._blocks[0]
+    def regroup(
+        self, query: Query, rows: np.ndarray, keys: np.ndarray
+    ) -> "PartialResult":
+        """Groups ``rows`` of this partial, re-keyed, as a partial of ``query``.
 
-    def _dict_as_block(self) -> Optional[_Block]:
-        """The row-path dict rendered as a block (grouped queries only)."""
-        if not self._groups:
-            return None
-        n_cols = len(self.query.group_by)
-        keys = np.asarray(
-            [list(key) for key in self._groups], dtype=np.int64
-        ).reshape(len(self._groups), n_cols)
-        # Blocks are canonical (lex-sorted by key); dict insertion order
-        # is whatever the row path happened to see first.
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        values = list(self._groups.values())
-        all_states = [values[j] for j in order.tolist()]
+        ``keys[i]`` is the new key of group ``rows[i]`` (an index into
+        :meth:`block`); groups that land on one new key merge in their
+        old key order. This is the partitioned-hash join's re-aggregation.
+        """
+        if query.aggregations != self.query.aggregations:
+            raise QueryError("cannot regroup into different aggregations")
+        block = self.block()
         states = [
-            _python_states_to_block(agg.func, [s[i] for s in all_states])
-            for i, agg in enumerate(self.query.aggregations)
+            _take_state(agg.func, state, rows, len(block.keys))
+            for agg, state in zip(query.aggregations, block.states)
         ]
-        return _Block(keys=keys, states=states)
-
-    def finalize(self) -> "QueryResult":
-        columns = list(self.query.group_by) + [
-            agg.label() for agg in self.query.aggregations
-        ]
-        if not self.query.group_by or (
-            not self._blocks and len(self._groups) <= 1
-        ):
-            # Scalar queries (and tiny dict-only partials) take the
-            # plain-Python path.
-            rows = []
-            for key in sorted(self.groups):
-                states = self.groups[key]
-                values = [
-                    finalize_state(agg.func, state)
-                    for agg, state in zip(self.query.aggregations, states)
-                ]
-                rows.append(tuple(key) + tuple(values))
-        else:
-            rows = self._finalize_grouped()
-        rows = self._shape_rows(rows, columns)
-        return QueryResult(
-            columns=tuple(columns),
-            rows=rows,
+        out = PartialResult(
+            query=query,
             rows_scanned=self.rows_scanned,
             bricks_scanned=self.bricks_scanned,
         )
-
-    def _finalize_grouped(self) -> list[tuple]:
-        """Vectorised finalize: one consolidation, then array→row zip."""
-        blocks = list(self._blocks)
-        dict_block = self._dict_as_block()
-        if dict_block is not None:
-            blocks.append(dict_block)
-        if not blocks:
-            return []
-        if len(blocks) > 1:
-            self.compactions += 1
-            self.blocks_consolidated += len(blocks)
-        block = _consolidate_blocks(self.query, blocks)
-        n_groups = len(block.keys)
-        key_columns = [
-            block.keys[:, j].tolist() for j in range(block.keys.shape[1])
+        out._blocks = [
+            _consolidate_blocks(query, [_Block(keys=keys, states=states)])
         ]
-        value_columns = [
-            _finalize_block_state(agg.func, state, n_groups)
-            for agg, state in zip(self.query.aggregations, block.states)
-        ]
-        return list(zip(*key_columns, *value_columns))
+        return out
 
-    def _shape_rows(self, rows: list[tuple], columns: list[str]) -> list[tuple]:
-        """Apply the query's HAVING / ORDER BY / LIMIT shaping.
+    def finalize(self) -> "QueryResult":
+        """Final rows: HAVING, ORDER BY and LIMIT run on the value arrays,
+        and only the surviving rows become Python tuples.
 
         Only correct after *all* partials are merged — which is exactly
         where it runs: the coordinator finalizes once per query.
         """
         query = self.query
-        for predicate in query.having:
-            index = columns.index(predicate.column)
-            rows = [r for r in rows if predicate.matches(r[index])]
-        if query.order_by is not None:
-            index = columns.index(query.order_by)
-            # None values (empty MIN/AVG) sort last regardless of order.
-            rows = sorted(
-                rows,
-                key=lambda r: (r[index] is None,
-                               -r[index] if query.descending and
-                               r[index] is not None else r[index]),
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return rows
+        block = self.block()
+        columns = list(query.group_by) + [
+            agg.label() for agg in query.aggregations
+        ]
+        arrays = [block.keys[:, j] for j in range(block.keys.shape[1])] + [
+            _final_values(agg.func, state, len(block.keys))
+            for agg, state in zip(query.aggregations, block.states)
+        ]
+        picked = _shaped_rows(query, columns, arrays)
+        return QueryResult(
+            columns=tuple(columns),
+            rows=list(zip(*(_python_values(a[picked]) for a in arrays))),
+            rows_scanned=self.rows_scanned,
+            bricks_scanned=self.bricks_scanned,
+        )
 
 
 # ----------------------------------------------------------------------
-# Block-state conversion and consolidation
+# Block states: consolidation and final values
 # ----------------------------------------------------------------------
 
 
-def _python_states_to_block(func: AggFunc, states: list):
-    """Array-form block state from a list of plain-Python states."""
-    if func is AggFunc.MIN or func is AggFunc.MAX:
-        return np.asarray(
-            [np.nan if s is None else float(s) for s in states],
-            dtype=np.float64,
-        )
-    if func is AggFunc.AVG:
-        return (
-            np.asarray([float(s[0]) for s in states], dtype=np.float64),
-            np.asarray([float(s[1]) for s in states], dtype=np.float64),
-        )
-    if func is AggFunc.COUNT_DISTINCT:
-        owner_parts, value_parts = [], []
-        for i, state in enumerate(states):
-            values = DistinctState.coerce(state).values
-            if len(values):
-                owner_parts.append(np.full(len(values), i, dtype=np.int64))
-                value_parts.append(values)
-        if not owner_parts:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        return np.concatenate(owner_parts), np.concatenate(value_parts)
-    return np.asarray([float(s) for s in states], dtype=np.float64)
-
-
-def _block_states_to_python(func: AggFunc, state, n_groups: int) -> list:
-    """Plain-Python states (one per group) from an array-form block state."""
-    if func is AggFunc.MIN or func is AggFunc.MAX:
-        return [None if np.isnan(v) else v for v in state.tolist()]
-    if func is AggFunc.AVG:
-        sums, counts = state
-        return list(zip(sums.tolist(), counts.tolist()))
-    if func is AggFunc.COUNT_DISTINCT:
-        owners, values = state
-        # owners is sorted ascending; slice each group's run of values
-        # (already sorted-unique within the group).
-        bounds = np.searchsorted(owners, np.arange(n_groups + 1))
-        return [
-            DistinctState(values[bounds[g]:bounds[g + 1]])
-            for g in range(n_groups)
-        ]
-    return state.tolist()
-
-
-def _finalize_block_state(func: AggFunc, state, n_groups: int) -> list:
-    """Final per-group values (column form) from an array-form state."""
-    if func is AggFunc.MIN or func is AggFunc.MAX:
-        return [None if np.isnan(v) else v for v in state.tolist()]
-    if func is AggFunc.AVG:
-        sums, counts = state
-        return [
-            s / c if c else None
-            for s, c in zip(sums.tolist(), counts.tolist())
-        ]
-    if func is AggFunc.COUNT_DISTINCT:
-        owners, __ = state
-        return np.bincount(owners, minlength=n_groups).astype(
-            np.float64
-        ).tolist()
-    return state.tolist()
-
-
-def _empty_block_state(func: AggFunc):
-    if func is AggFunc.AVG:
-        return (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64))
-    if func is AggFunc.COUNT_DISTINCT:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    return np.empty(0, dtype=np.float64)
+def _empty_block(query: Query) -> _Block:
+    states = []
+    for agg in query.aggregations:
+        if agg.func is AggFunc.AVG:
+            states.append((np.empty(0), np.empty(0)))
+        elif agg.func is AggFunc.COUNT_DISTINCT:
+            states.append((np.empty(0, dtype=np.int64), np.empty(0)))
+        else:
+            states.append(np.empty(0))
+    return _Block(
+        keys=np.empty((0, len(query.group_by)), dtype=np.int64),
+        states=states,
+    )
 
 
 def _consolidate_blocks(query: Query, blocks: list[_Block]) -> _Block:
     """Merge blocks into one canonical lex-sorted block.
 
-    All block keys concatenate into one array, re-encode to a dense
-    global group index, and every state array scatters into its global
-    slots — SUM/COUNT/AVG by indexed add (keys are distinct within a
-    block, so plain fancy-index ``+=`` is exact and runs in block
-    order), MIN/MAX by ``np.fmin``/``np.fmax`` against a NaN-initialised
-    accumulator (NaN = "no value yet", so dict-path ``None`` states pass
-    through), COUNT_DISTINCT by remapping owners and re-deduplicating
+    Keys may repeat within a block as well as across blocks. All keys
+    concatenate and re-encode to a dense global group index (an
+    ungrouped query's keys are all the one empty key), and every state
+    scatters into its group in block order, then row order:
+    SUM/COUNT/AVG by ``np.bincount``, which adds sequentially, so a
+    group's sum is ``0.0 + v1 + v2 + …``; MIN/MAX by ``np.fmin.at`` /
+    ``np.fmax.at`` against a NaN-initialised accumulator (NaN = "no
+    value yet"); COUNT_DISTINCT by remapping owners and re-deduplicating
     the pair arrays. Deterministic for a fixed block order.
     """
     from repro.cubrick import kernels
 
     blocks = [b for b in blocks if len(b.keys)]
     if not blocks:
-        n_cols = max(len(query.group_by), 1)
-        return _Block(
-            keys=np.empty((0, n_cols), dtype=np.int64),
-            states=[
-                _empty_block_state(agg.func) for agg in query.aggregations
-            ],
+        return _empty_block(query)
+    sizes = [len(b.keys) for b in blocks]
+    if query.group_by:
+        keys = np.concatenate([b.keys for b in blocks])
+        group_idx, unique_keys = kernels.encode_group_keys(
+            [keys[:, j] for j in range(keys.shape[1])]
         )
-    if len(blocks) == 1:
-        return blocks[0]
-    all_keys = np.concatenate([b.keys for b in blocks], axis=0)
-    group_idx, unique_keys = kernels.encode_group_keys(
-        [all_keys[:, j] for j in range(all_keys.shape[1])]
-    )
+    else:
+        group_idx = np.zeros(sum(sizes), dtype=np.int64)
+        unique_keys = blocks[0].keys[:1]
     n_groups = len(unique_keys)
-    offsets = np.cumsum([0] + [len(b.keys) for b in blocks])
-    maps = [
-        group_idx[offsets[i]:offsets[i + 1]] for i in range(len(blocks))
-    ]
     states = []
     for i, agg in enumerate(query.aggregations):
-        func = agg.func
-        if func is AggFunc.MIN or func is AggFunc.MAX:
-            combine = np.fmin if func is AggFunc.MIN else np.fmax
-            out = np.full(n_groups, np.nan)
-            for m, b in zip(maps, blocks):
-                out[m] = combine(out[m], b.states[i])
-            states.append(out)
-        elif func is AggFunc.AVG:
-            sums = np.zeros(n_groups)
-            counts = np.zeros(n_groups)
-            for m, b in zip(maps, blocks):
-                s, c = b.states[i]
-                sums[m] += s
-                counts[m] += c
-            states.append((sums, counts))
-        elif func is AggFunc.COUNT_DISTINCT:
-            owner_parts, value_parts = [], []
-            for m, b in zip(maps, blocks):
-                owners, values = b.states[i]
-                if len(owners):
-                    owner_parts.append(m[owners])
-                    value_parts.append(values)
-            if owner_parts:
-                states.append(
-                    kernels.group_distinct_pairs(
-                        np.concatenate(owner_parts),
-                        np.concatenate(value_parts),
-                        n_groups,
-                    )
+        parts = [b.states[i] for b in blocks]
+        if agg.func is AggFunc.COUNT_DISTINCT:
+            offsets = itertools.accumulate(sizes, initial=0)
+            owners = np.concatenate(
+                [o + start for (o, __), start in zip(parts, offsets)]
+            )
+            values = np.concatenate([v for __, v in parts])
+            states.append(
+                kernels.group_distinct_pairs(group_idx[owners], values, n_groups)
+            )
+        elif agg.func is AggFunc.AVG:
+            states.append(tuple(
+                np.bincount(
+                    group_idx,
+                    weights=np.concatenate([p[j] for p in parts]),
+                    minlength=n_groups,
                 )
-            else:
-                states.append(_empty_block_state(func))
-        else:  # SUM / COUNT
-            out = np.zeros(n_groups)
-            for m, b in zip(maps, blocks):
-                out[m] += b.states[i]
+                for j in (0, 1)
+            ))
+        elif agg.func is AggFunc.MIN or agg.func is AggFunc.MAX:
+            combine = np.fmin if agg.func is AggFunc.MIN else np.fmax
+            out = np.full(n_groups, np.nan)
+            combine.at(out, group_idx, np.concatenate(parts))
             states.append(out)
+        else:  # SUM / COUNT
+            states.append(np.bincount(
+                group_idx, weights=np.concatenate(parts), minlength=n_groups
+            ))
     return _Block(keys=unique_keys, states=states)
+
+
+def _take_state(func: AggFunc, state, rows: np.ndarray, n_groups: int):
+    """The block state of groups ``rows`` (in that order) of a block."""
+    if func is AggFunc.AVG:
+        return state[0][rows], state[1][rows]
+    if func is AggFunc.COUNT_DISTINCT:
+        owners, values = state
+        position = np.full(n_groups, -1, dtype=np.int64)
+        position[rows] = np.arange(len(rows))
+        moved = position[owners]
+        kept = moved >= 0
+        return moved[kept], values[kept]
+    return state[rows]
+
+
+def _final_values(func: AggFunc, state, n_groups: int) -> np.ndarray:
+    """Final per-group values (float64, NaN = no value) of a block state."""
+    if func is AggFunc.AVG:
+        sums, counts = state
+        out = np.full(n_groups, np.nan)
+        return np.divide(sums, counts, out=out, where=counts != 0)
+    if func is AggFunc.COUNT_DISTINCT:
+        owners, __ = state
+        return np.bincount(owners, minlength=n_groups).astype(np.float64)
+    return state
+
+
+def _shaped_rows(
+    query: Query, columns: list[str], arrays: list[np.ndarray]
+) -> np.ndarray:
+    """Indices of the result rows HAVING keeps, in ORDER BY order, cut
+    to LIMIT.
+
+    ORDER BY is one stable lexsort on ``(value or -value, is_missing)``:
+    missing values (empty MIN/AVG) sort last in either direction, and
+    ties keep group-key order. Under a LIMIT only the rows that tie or
+    beat the LIMIT-th one (one ``np.partition``) can make the cut, so
+    only those are sorted.
+    """
+    keep = np.ones(len(arrays[0]), dtype=bool)
+    for predicate in query.having:
+        keep &= predicate.mask(arrays[columns.index(predicate.column)])
+    picked = np.flatnonzero(keep)
+    if query.order_by is not None:
+        values = arrays[columns.index(query.order_by)][picked]
+        missing = np.isnan(values)
+        ranked = np.where(missing, 0, -values if query.descending else values)
+        if query.limit is not None and query.limit < len(picked):
+            key = np.where(missing, np.inf, ranked)
+            near = key <= np.partition(key, query.limit - 1)[query.limit - 1]
+            picked, ranked, missing = picked[near], ranked[near], missing[near]
+        picked = picked[np.lexsort((ranked, missing))]
+    if query.limit is not None:
+        picked = picked[: query.limit]
+    return picked
+
+
+def _python_values(array: np.ndarray) -> list:
+    """A result column as Python ints / floats, NaN as ``None``."""
+    values = array.tolist()
+    if array.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(array)).tolist():
+            values[i] = None
+    return values
 
 
 @dataclass

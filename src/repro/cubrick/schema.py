@@ -234,8 +234,8 @@ class TableSchema:
 
         Every schema column must be present (extra ones are dropped), all
         of one length; dimensions integral and in ``[0, cardinality)``,
-        metrics numeric. A :class:`SchemaError` names the first bad column
-        and row.
+        metrics numeric and finite. A :class:`SchemaError` names the first
+        bad column and row.
         """
         missing = [name for name in self.column_names if name not in columns]
         if missing:
@@ -278,11 +278,20 @@ def _validated_dimension_column(dim: Dimension, raw) -> np.ndarray:
 
 
 def _validated_metric_column(metric: Metric, raw) -> np.ndarray:
-    """One metric column as float64."""
+    """One metric column as float64, every value finite: NaN would read
+    as "no value" to MIN/MAX and is not valid JSON on the wire."""
     try:
-        return np.asarray(raw, dtype=METRIC_DTYPE)
+        values = np.asarray(raw, dtype=METRIC_DTYPE)
     except (TypeError, ValueError):
         raise _non_numeric("metric", metric.name, raw) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.flatnonzero(~finite)[0])
+        raise SchemaError(
+            f"metric {metric.name!r}: non-finite value "
+            f"{float(values[first])!r} at row {first}"
+        )
+    return values
 
 
 def _non_numeric(kind: str, name: str, raw) -> SchemaError:

@@ -38,6 +38,9 @@ from repro.errors import QueryError
 if TYPE_CHECKING:
     from repro.obs import Observability
 
+#: The keys of an ungrouped brick scan's block: one group, no key columns.
+_NO_KEY = np.empty((1, 0), dtype=np.int64)
+
 
 class PartitionStorage:
     """In-memory columnar storage for one table partition.
@@ -388,7 +391,7 @@ class PartitionStorage:
             return values
 
         if not query.group_by:
-            partial.accumulate((), [
+            partial.accumulate_block(_NO_KEY, [
                 scalar_state(agg.func, agg_values(agg), matched)
                 for agg in query.aggregations
             ])

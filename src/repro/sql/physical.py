@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cubrick.query import PartialResult, Query, QueryResult
+from repro.cubrick.query import Query, QueryResult
 from repro.errors import QueryFailedError, RegionUnavailableError
 from repro.sql.planner import LogicalPlan
 
@@ -278,24 +278,24 @@ def _execute_hash(physical: PhysicalPlan, coordinator) -> QueryResult:
 
     merged, info = coordinator.execute_partials(physical.fanout_query)
 
+    # Re-key the merged block as arrays: groups whose join key has no
+    # matching dim row are dropped (inner join), dotted columns map
+    # through the lookups, and the regrouped block consolidates.
+    block = merged.block()
+    fact_keys = block.keys[:, 0]
+    in_range = np.flatnonzero((fact_keys >= 0) & (fact_keys < size))
+    rows = in_range[presence[fact_keys[in_range]]]
     prefix = f"{join.table}."
-    fanout_group = physical.fanout_query.group_by
-    fanout_pos = {g: i for i, g in enumerate(fanout_group)}
-    final = PartialResult(query=plan.query)
-    final.rows_scanned = merged.rows_scanned
-    final.bricks_scanned = merged.bricks_scanned
-    for key_tuple, states in merged.groups.items():
-        key_value = key_tuple[0]
-        if key_value < 0 or key_value >= size or not presence[key_value]:
-            continue  # no matching dim row: inner join drops the group
-        out = []
-        for g in plan.group_by:
-            if g.startswith(prefix):
-                out.append(int(lookups[g[len(prefix):]][key_value]))
-            else:
-                out.append(key_tuple[fanout_pos[g]])
-        final.accumulate(tuple(out), states)
-    result = final.finalize()
+    fanout_pos = {
+        g: i for i, g in enumerate(physical.fanout_query.group_by)
+    }
+    keys = np.empty((len(rows), len(plan.group_by)), dtype=np.int64)
+    for j, g in enumerate(plan.group_by):
+        if g.startswith(prefix):
+            keys[:, j] = lookups[g[len(prefix):]][fact_keys[rows]]
+        else:
+            keys[:, j] = block.keys[rows, fanout_pos[g]]
+    result = merged.regroup(plan.query, rows, keys).finalize()
     result.metadata.update(
         {
             "table": plan.fact_table,

@@ -112,6 +112,23 @@ class TestInsertColumns:
             )
         assert storage.rows == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_metric_rejected(self, events_schema, bad):
+        """NaN would read as "no value" to grouped MIN/MAX (but not to
+        ungrouped ones) and is not valid JSON on the wire; ±inf has no
+        JSON form either. The load fails, naming column and row."""
+        storage = PartitionStorage(events_schema, 0)
+        with pytest.raises(SchemaError, match=r"'cost'.*non-finite.*row 2"):
+            storage.insert_columns(
+                {
+                    "day": np.array([0, 1, 2]),
+                    "country": np.array([0, 0, 0]),
+                    "clicks": np.ones(3),
+                    "cost": np.array([1.0, 2.0, bad]),
+                }
+            )
+        assert storage.rows == 0
+
     def test_integral_float_dimensions_accepted(self, events_schema):
         storage = PartitionStorage(events_schema, 0)
         n = storage.insert_columns(

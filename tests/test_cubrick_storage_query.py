@@ -260,8 +260,8 @@ class TestPartialMerge:
         b = PartialResult(
             query=Query.build("t", aggs, group_by=["day", "country"])
         )
-        a.accumulate((1,), [2.0])
-        b.accumulate((1, 5), [3.0])
+        a.accumulate_block(np.array([[1]]), [np.array([2.0])])
+        b.accumulate_block(np.array([[1, 5]]), [np.array([3.0])])
         with pytest.raises(QueryError, match="group-by"):
             a.merge(b)
 

@@ -1,5 +1,6 @@
 """Tests for HAVING (post-aggregation filtering)."""
 
+import numpy as np
 import pytest
 
 from repro.cubrick.query import (
@@ -112,9 +113,10 @@ class TestHavingExecution:
             )
 
     def test_having_none_values_dropped(self, storage):
-        # avg of an empty group never exists here, but None-safety is a
-        # contract of Having.matches.
-        assert not Having("x", CompareOp.GT, 0).matches(None)
+        # avg of an empty group never exists here, but a missing value
+        # (NaN in the value arrays, None in the rows) never passes.
+        for op in CompareOp:
+            assert not Having("x", op, 0).mask(np.array([np.nan]))[0]
 
 
 class TestHavingSql:

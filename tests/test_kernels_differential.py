@@ -1,10 +1,12 @@
 """Differential tests: vectorised scan kernels vs a per-row reference.
 
 Randomized queries (filters x group-bys x every :class:`AggFunc`, with
-and without joins) run through ``PartitionStorage.execute`` AND a naive
-pure-Python reference that accumulates one row at a time through the
-``PartialResult`` state machinery. Finalized results must be *exactly*
-equal — no tolerances. Metric values are multiples of 1/8 with sums far
+and without joins, with random HAVING / ORDER BY / LIMIT) run through
+``PartitionStorage.execute`` + ``finalize`` AND a naive pure-Python
+reference that shares no code with the engine after the brick columns
+are read: it aggregates one row at a time into a dict and shapes the
+rows with its own HAVING, ORDER BY and LIMIT. Final rows must be
+*exactly* equal — no tolerances. Metric values are multiples of 1/8 with sums far
 below 2**53, so they are exactly representable and every summation
 order produces the same float: any kernel discrepancy surfaces as a
 hard mismatch rather than rounding noise.
@@ -16,13 +18,19 @@ bricks, so the kernels are also exercised over decompressed
 
 from __future__ import annotations
 
+import math
+import operator
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cubrick.query import (
     AggFunc,
     Aggregation,
+    CompareOp,
     Filter,
+    Having,
     Join,
     PartialResult,
     Query,
@@ -99,18 +107,40 @@ def loaded():
 
 
 # ----------------------------------------------------------------------
-# The reference: one row at a time through the PartialResult machinery
+# The reference: one row at a time into plain-Python dict states
 # ----------------------------------------------------------------------
 
 
-def _row_state(func: AggFunc, value):
-    if func is AggFunc.COUNT:
-        return 1.0
+def _new_state(func: AggFunc):
     if func is AggFunc.AVG:
-        return (float(value), 1.0)
+        return (0.0, 0)
     if func is AggFunc.COUNT_DISTINCT:
-        return frozenset({value})
-    return float(value)  # SUM / MIN / MAX
+        return frozenset()
+    if func is AggFunc.MIN or func is AggFunc.MAX:
+        return None  # no value yet
+    return 0.0  # SUM / COUNT
+
+
+def _add(func: AggFunc, state, value):
+    if func is AggFunc.COUNT:
+        return state + 1.0
+    if func is AggFunc.SUM:
+        return state + value
+    if func is AggFunc.AVG:
+        return (state[0] + value, state[1] + 1)
+    if func is AggFunc.COUNT_DISTINCT:
+        return state | {value}
+    if state is None:
+        return value
+    return min(state, value) if func is AggFunc.MIN else max(state, value)
+
+
+def _final(func: AggFunc, state):
+    if func is AggFunc.AVG:
+        return state[0] / state[1] if state[1] else None
+    if func is AggFunc.COUNT_DISTINCT:
+        return float(len(state))
+    return state
 
 
 def _matches(flt: Filter, value) -> bool:
@@ -121,13 +151,19 @@ def _matches(flt: Filter, value) -> bool:
     return flt.values[0] <= value <= flt.values[1]  # BETWEEN
 
 
-def reference_execute(
+def result_columns(query: Query) -> list[str]:
+    return [*query.group_by, *(agg.label() for agg in query.aggregations)]
+
+
+def reference_groups(
     storage: PartitionStorage,
     query: Query,
     lookups: dict[str, tuple[str, np.ndarray]],
-) -> PartialResult:
-    """Row-at-a-time evaluation with no numpy in the aggregate path."""
-    partial = PartialResult(query=query)
+) -> list[tuple]:
+    """Every result row in group-key order, before HAVING / ORDER BY /
+    LIMIT: rows one at a time into a dict, no numpy in the aggregate
+    path and no engine code after the brick columns are read."""
+    groups: dict[tuple, list] = {}
     joined = query.joined_columns()
     for brick in storage.bricks():
         arrays = brick.columns()
@@ -147,14 +183,52 @@ def reference_execute(
             if any(resolve(name) < 0 for name in joined):
                 continue  # inner join: key missing from dimension table
             key = tuple(int(resolve(dim)) for dim in query.group_by)
-            partial.accumulate(
-                key,
-                [
-                    _row_state(agg.func, row.get(agg.metric))
-                    for agg in query.aggregations
-                ],
+            states = groups.setdefault(
+                key, [_new_state(agg.func) for agg in query.aggregations]
             )
-    return partial
+            for i, agg in enumerate(query.aggregations):
+                states[i] = _add(agg.func, states[i], row.get(agg.metric))
+    return [
+        key + tuple(
+            _final(agg.func, state)
+            for agg, state in zip(query.aggregations, states)
+        )
+        for key, states in sorted(groups.items())
+    ]
+
+
+_COMPARE = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+}
+
+
+def reference_shape(query: Query, rows: list[tuple]) -> list[tuple]:
+    """HAVING (a missing value never passes), then ORDER BY (missing
+    values last in both directions, ties in group-key order), then
+    LIMIT."""
+    columns = result_columns(query)
+    for predicate in query.having:
+        i = columns.index(predicate.column)
+        compare = _COMPARE[predicate.op.value]
+        rows = [
+            r for r in rows
+            if r[i] is not None and compare(r[i], predicate.value)
+        ]
+    if query.order_by is not None:
+        i = columns.index(query.order_by)
+        present = sorted(
+            (r for r in rows if r[i] is not None),
+            key=lambda r: r[i],
+            reverse=query.descending,  # sorted() stays stable reversed
+        )
+        rows = present + [r for r in rows if r[i] is None]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +269,35 @@ def _random_filters(rng: np.random.Generator) -> list[Filter]:
     return filters
 
 
-def _random_query(rng: np.random.Generator) -> Query:
+def _random_shaping(
+    rng: np.random.Generator, query: Query, rows: list[tuple]
+) -> Query:
+    """``query`` with random HAVING / ORDER BY / LIMIT; thresholds are
+    values of the unshaped result ``rows``, so predicates bite."""
+    columns = result_columns(query)
+    having = []
+    for __ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(len(columns)))
+        present = [r[i] for r in rows if r[i] is not None]
+        threshold = present[int(rng.integers(len(present)))] if present else 0.0
+        op = list(CompareOp)[int(rng.integers(len(CompareOp)))]
+        having.append(Having(columns[i], op, threshold))
+    order_by = (
+        columns[int(rng.integers(len(columns)))] if rng.random() < 0.7 else None
+    )
+    return replace(
+        query,
+        having=tuple(having),
+        order_by=order_by,
+        descending=bool(rng.random() < 0.5),
+        limit=int(rng.integers(1, 25)) if rng.random() < 0.5 else None,
+    )
+
+
+def _random_query(
+    rng: np.random.Generator, storage: PartitionStorage, lookups, table: str
+) -> tuple[Query, list[tuple]]:
+    """A random query over ``table`` plus its unshaped reference rows."""
     group_by = GROUP_CHOICES[int(rng.integers(len(GROUP_CHOICES)))]
     filters = _random_filters(rng)
     joins = []
@@ -203,9 +305,11 @@ def _random_query(rng: np.random.Generator) -> Query:
         joins.append(Join(table="dim_users", fact_key="user", dim_key="id"))
     n_aggs = int(rng.integers(1, len(ALL_AGGS) + 1))
     picked = [ALL_AGGS[i] for i in rng.permutation(len(ALL_AGGS))[:n_aggs]]
-    return Query.build(
-        "facts", picked, group_by=group_by, filters=filters, joins=joins
+    query = Query.build(
+        table, picked, group_by=group_by, filters=filters, joins=joins
     )
+    rows = reference_groups(storage, query, lookups)
+    return _random_shaping(rng, query, rows), rows
 
 
 # ----------------------------------------------------------------------
@@ -213,11 +317,14 @@ def _random_query(rng: np.random.Generator) -> Query:
 # ----------------------------------------------------------------------
 
 
-def _assert_identical(storage, query, lookups):
+def _assert_identical(storage, query, lookups, rows=None):
+    """Engine answer == reference answer; ``rows`` are the unshaped
+    reference rows when the caller already has them."""
+    if rows is None:
+        rows = reference_groups(storage, query, lookups)
     engine = storage.execute(query, lookups).finalize()
-    reference = reference_execute(storage, query, lookups).finalize()
-    assert engine.columns == reference.columns
-    assert engine.rows == reference.rows, (
+    assert engine.columns == tuple(result_columns(query))
+    assert engine.rows == reference_shape(query, rows), (
         f"kernel/reference divergence for {query}"
     )
 
@@ -241,7 +348,8 @@ def test_randomized_queries_match_reference(loaded):
             # Queries transparently decompress/un-evict; re-mix the
             # brick states so later queries hit those paths again.
             _cycle_brick_states(storage)
-        _assert_identical(storage, _random_query(rng), lookups)
+        query, rows = _random_query(rng, storage, lookups, "facts")
+        _assert_identical(storage, query, lookups, rows)
 
 
 def test_ungrouped_and_filtered_paths(loaded):
@@ -370,15 +478,8 @@ def test_encoded_randomized_queries_match_reference(loaded_encoded):
     for i in range(30):
         if i % 10 == 0:
             _cycle_brick_states(storage)
-        query = _random_query(rng)
-        query = Query.build(
-            "facts_enc",
-            list(query.aggregations),
-            group_by=list(query.group_by),
-            filters=list(query.filters),
-            joins=list(query.joins),
-        )
-        _assert_identical(storage, query, lookups)
+        query, rows = _random_query(rng, storage, lookups, "facts_enc")
+        _assert_identical(storage, query, lookups, rows)
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +516,7 @@ def test_high_cardinality_group_by_matches_reference():
     )
     engine = storage.execute(query, {}).finalize()
     assert len(engine.rows) >= 100_000, "fixture must exceed 100k groups"
-    reference = reference_execute(storage, query, {}).finalize()
-    assert engine.columns == reference.columns
-    assert engine.rows == reference.rows
+    assert engine.rows == reference_groups(storage, query, {})
 
 
 # ----------------------------------------------------------------------
@@ -461,3 +560,33 @@ def test_empty_storage_matches_reference():
             group_by=group_by,
         )
         _assert_identical(storage, query, {})
+
+
+def test_empty_min_and_avg_groups_shape_like_reference():
+    """Groups with no MIN value (NaN in the block) or an AVG over no rows
+    (count 0) finalize to None, never pass HAVING and sort last in both
+    directions — under every random shaping the reference draws."""
+    rng = np.random.default_rng(5)
+    n = 40
+    mins = rng.integers(0, 8, size=n) / 8.0  # few distinct values: ties
+    mins[rng.random(n) < 0.3] = np.nan
+    counts = rng.integers(0, 3, size=n).astype(np.float64)
+    sums = np.where(counts > 0, rng.integers(0, 16, size=n) / 8.0, 0.0)
+    query = Query.build(
+        "facts",
+        [Aggregation(AggFunc.MIN, "cost"), Aggregation(AggFunc.AVG, "clicks")],
+        group_by=["day"],
+    )
+    rows = [
+        (day, None if math.isnan(low) else low, total / count if count else None)
+        for day, low, total, count in zip(
+            range(n), mins.tolist(), sums.tolist(), counts.tolist()
+        )
+    ]
+    for __ in range(200):
+        shaped = _random_shaping(rng, query, rows)
+        partial = PartialResult(query=shaped)
+        partial.accumulate_block(
+            np.arange(n).reshape(-1, 1), [mins, (sums, counts)]
+        )
+        assert partial.finalize().rows == reference_shape(shaped, rows), shaped

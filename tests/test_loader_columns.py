@@ -249,6 +249,7 @@ def _stream_rows(count, seed=0):
         ({"bucket": None, "value": 1.0}, r"'bucket'.*None at row 37"),
         ({"value": 1.0}, r"row 37 missing column 'bucket'"),
         ({"bucket": 3, "value": "many"}, r"'value'.*'many' at row 37"),
+        ({"bucket": 3, "value": float("nan")}, r"'value'.*non-finite.*row 37"),
     ],
 )
 def test_invalid_row_rejects_the_whole_batch(stream, bad_row, message):

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -10,15 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.wall import query_success_ratio, scalability_wall
 from repro.cubrick.granular import GranularIndex
+from repro.cubrick.kernels import (
+    encode_group_keys,
+    grouped_state_arrays,
+    scalar_state,
+)
 from repro.cubrick.partitioning import partition_of, plan_repartition
 from repro.cubrick.query import (
     AggFunc,
     Aggregation,
     PartialResult,
     Query,
-    finalize_state,
-    initial_state,
-    merge_states,
 )
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.sharding import MonotonicHashMapper, NaiveHashMapper
@@ -42,51 +43,92 @@ row_strategy = st.fixed_dictionaries(
 )
 
 
+exact_values = st.integers(-8000, 8000).map(lambda v: v / 8.0)
+
+
+def _partial(query: Query, keys: list[int], values: list[float],
+             bricks: int) -> PartialResult:
+    """A partial of ``query`` over rows ``(keys[i], values[i])``, scanned
+    as ``bricks`` blocks through the engine's kernels."""
+    partial = PartialResult(query=query)
+    func = query.aggregations[0].func
+    for chunk in np.array_split(np.arange(len(values)), bricks):
+        if not len(chunk):
+            continue
+        column = np.asarray(values)[chunk]
+        if query.group_by:
+            group_idx, unique_keys = encode_group_keys(
+                [np.asarray(keys, dtype=np.int64)[chunk]]
+            )
+            state = grouped_state_arrays(
+                func, group_idx, column, len(unique_keys)
+            )
+        else:
+            unique_keys = np.empty((1, 0), dtype=np.int64)
+            state = scalar_state(func, column, len(chunk))
+        partial.accumulate_block(unique_keys, [state])
+    return partial
+
+
 class TestAggStateProperties:
+    """The block algebra: merging partials is invisible in the answer."""
+
     @given(
         func=st.sampled_from(list(AggFunc)),
-        values=st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1, max_size=30,
-        ),
-        split=st.integers(0, 30),
+        grouped=st.booleans(),
+        rows=st.lists(st.tuples(st.integers(0, 5), exact_values),
+                      min_size=1, max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=3),
+        bricks=st.integers(1, 3),
     )
-    def test_merge_is_split_invariant(self, func, values, split):
-        """Aggregating a split in two halves == aggregating the whole."""
-        split = min(split, len(values))
-
-        def fold(chunk):
-            state = initial_state(func)
-            for v in chunk:
-                state = merge_states(func, state, _leaf(func, v))
-            return state
-
-        whole = finalize_state(func, fold(values))
-        merged = finalize_state(
-            func,
-            merge_states(func, fold(values[:split]), fold(values[split:])),
+    def test_merge_is_split_invariant(self, func, grouped, rows, cuts, bricks):
+        """For every aggregate family and any split of the rows into
+        partials, finalize(merge(parts)) == finalize(whole), whichever
+        way the merges nest."""
+        query = Query.build(
+            "t", [Aggregation(func, "m")], group_by=["k"] if grouped else []
         )
-        if whole is None or merged is None:
-            assert whole == merged
-        else:
-            assert math.isclose(whole, merged, rel_tol=1e-9, abs_tol=1e-6)
+        keys = [k for k, __ in rows]
+        values = [v for __, v in rows]
+        whole = _partial(query, keys, values, 1).finalize().rows
+        bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
 
-    @given(func=st.sampled_from(list(AggFunc)))
-    def test_initial_state_is_identity(self, func):
-        leaf = _leaf(func, 5.0)
-        merged = merge_states(func, initial_state(func), leaf)
-        assert finalize_state(func, merged) == finalize_state(func, leaf)
+        def parts():
+            return [
+                _partial(query, keys[a:b], values[a:b], bricks)
+                for a, b in zip(bounds, bounds[1:])
+            ]
 
+        left = PartialResult(query=query)
+        for part in parts():
+            left.merge(part)
+        right = PartialResult(query=query)
+        for part in reversed(parts()):
+            right = part.merge(right)
+        assert left.finalize().rows == whole
+        assert right.finalize().rows == whole
 
-def _leaf(func: AggFunc, value: float):
-    """State representing a single observed value."""
-    if func is AggFunc.COUNT:
-        return 1.0
-    if func is AggFunc.AVG:
-        return (value, 1.0)
-    if func is AggFunc.COUNT_DISTINCT:
-        return frozenset({value})
-    return value
+    @given(
+        func=st.sampled_from(list(AggFunc)),
+        grouped=st.booleans(),
+        rows=st.lists(st.tuples(st.integers(0, 5), exact_values),
+                      max_size=20),
+    )
+    def test_initial_state_is_identity(self, func, grouped, rows):
+        """An empty partial merges as the identity on either side, and a
+        query that matched nothing — grouped or not — has zero rows."""
+        query = Query.build(
+            "t", [Aggregation(func, "m")], group_by=["k"] if grouped else []
+        )
+        keys = [k for k, __ in rows]
+        values = [v for __, v in rows]
+        expected = _partial(query, keys, values, 1).finalize().rows
+        assert len(expected) == len(set(keys) if grouped else rows[:1])
+        empty = PartialResult(query=query)
+        with_empty = _partial(query, keys, values, 2).merge(empty)
+        assert with_empty.finalize().rows == expected
+        onto_empty = empty.merge(_partial(query, keys, values, 2))
+        assert onto_empty.finalize().rows == expected
 
 
 class TestPartitioningProperties:
