@@ -216,13 +216,12 @@ class CubrickDeployment:
         )
         if cfg.result_cache_capacity > 0:
             self.proxy.result_cache = QueryResultCache(cfg.result_cache_capacity)
-        from repro.cubrick.sql import parse_query
-
-        # Statement cache: SQL text -> compiled Query. Compilation reads
-        # no catalog, so the memo can never go stale; a statement that
-        # raises is not remembered.
-        self._compile_statement = lru_cache(maxsize=STATEMENT_CACHE_SIZE)(
-            parse_query
+        # Statement cache: (SQL text, catalog version) -> fan-out Query.
+        # A create or drop moves the version, so no entry outlives the
+        # schema it was planned against; a statement that raises is not
+        # remembered.
+        self._statement_cache = lru_cache(maxsize=STATEMENT_CACHE_SIZE)(
+            self._compile_fanout
         )
         self.automation = DatacenterAutomation(
             self.simulator,
@@ -463,34 +462,73 @@ class CubrickDeployment:
 
         >>> deployment.sql("SELECT sum(clicks) FROM events LIMIT 5")
 
-        The statement runs through the full :mod:`repro.sql` pipeline:
-        parse, catalog-aware logical planning with the rewrite-rule
-        pipeline, then physical lowering (proxy fan-out, broadcast join
-        or partitioned-hash join depending on the tables involved).
+        The statement runs through :meth:`_physical_plan` and then
+        executes as its plan kind says: proxy fan-out, broadcast join,
+        partitioned-hash join, or an empty result without fan-out.
         ``query_kwargs`` (``allow_partial``/``straggler_timeout``/
         ``deadline``) apply to proxy fan-out plans.
         """
-        from repro.sql import build_physical, execute_plan, parse, plan
+        from repro.sql import execute_plan
 
-        stmt = parse(statement)
-        logical = plan(stmt, self.planner_context(), source=statement)
-        physical = build_physical(logical)
-        return execute_plan(physical, self.proxy, **query_kwargs)
+        return execute_plan(
+            self._physical_plan(statement), self.proxy, **query_kwargs
+        )
 
     def compile_sql(self, statement: str) -> Query:
-        """Compile one single-table SELECT into a :class:`Query`.
+        """Compile one SELECT into the :class:`Query` the proxy fans out.
 
         The managed admission path (:class:`~repro.sched.WorkloadManager`,
         and the serving gateway in front of it) schedules ``Query``
-        objects, so SQL submitted there is compiled up front — errors
-        (syntax, unknown table) surface at submission time, before the
-        query consumes a queue slot. Dashboards replay the same few
-        statements, so the compiled form is memoised by SQL text (a
-        bounded LRU); the table check still runs on every call.
+        objects, so SQL submitted there is compiled up front by the same
+        planner as :meth:`sql`, and errors surface before the query takes
+        a queue slot: :class:`~repro.errors.TableNotFoundError` for an
+        unknown FROM table, a positioned :class:`~repro.errors.SqlError`
+        for everything else. Only ``fanout`` plans are schedulable; an
+        ``empty``, ``broadcast-join`` or ``hash-join`` plan raises a
+        ``SqlError`` naming its kind (run those through :meth:`sql`).
+
+        Dashboards replay the same few statements, so the result is
+        memoised per ``(statement, catalog.version)`` in a bounded LRU.
+        Fan-out plans consult no join statistics, so loads never make
+        an entry stale, and a create or drop changes the version.
         """
-        query = self._compile_statement(statement)
-        self.catalog.get(query.table)  # raises TableNotFoundError early
-        return query
+        return self._statement_cache(statement, self.catalog.version)
+
+    def _compile_fanout(self, statement: str, catalog_version: int) -> Query:
+        """Plan one statement for the managed path (``catalog_version``
+        only keys the statement cache)."""
+        physical = self._physical_plan(statement)
+        if physical.kind == "fanout":
+            return physical.fanout_query
+        logical = physical.logical
+        if physical.kind == "empty":
+            raise logical.error(
+                f"plan is empty ({logical.empty_reason}); the managed path "
+                f"schedules fan-out plans only, use deployment.sql",
+                logical.statement.where.pos,
+            )
+        table = physical.sharded_joins[0].table
+        clause = next(j for j in logical.statement.joins if j.table == table)
+        raise logical.error(
+            f"plan is {physical.kind} (sharded table {table!r}); the "
+            f"managed path schedules fan-out plans only, use deployment.sql",
+            clause.pos,
+        )
+
+    def _physical_plan(self, statement: str):
+        """The one SQL compile step: parse, check the FROM table, plan
+        against the catalog, lower to a physical plan.
+
+        The stages are looked up on :mod:`repro.sql` at call time, so
+        anything wrapping them there (the perf ledger's spans) sees
+        every call.
+        """
+        import repro.sql as frontend
+
+        stmt = frontend.parse(statement)
+        self.catalog.get(stmt.table)  # raises TableNotFoundError
+        logical = frontend.plan(stmt, self.planner_context(), source=statement)
+        return frontend.build_physical(logical)
 
     def explain(self, statement: str, *, optimize: bool = True) -> str:
         """Deterministic EXPLAIN text for one SQL statement.

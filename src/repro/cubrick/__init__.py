@@ -75,7 +75,7 @@ from repro.cubrick.sharding import (
     analyze_collisions,
     stable_hash,
 )
-from repro.cubrick.sql import parse_query, render_query
+from repro.cubrick.sql import render_query
 from repro.cubrick.loader import LoaderStats, StreamingLoader
 from repro.cubrick.storage import PartitionStorage
 
@@ -137,7 +137,6 @@ __all__ = [
     "analyze_collisions",
     "stable_hash",
     "PartitionStorage",
-    "parse_query",
     "render_query",
     "StreamingLoader",
     "LoaderStats",

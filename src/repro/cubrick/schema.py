@@ -354,6 +354,9 @@ class Catalog:
     """The cluster-wide table catalog."""
 
     tables: dict[str, TableInfo] = field(default_factory=dict)
+    #: Bumped by every create and drop: a compiled plan is only valid
+    #: for the catalog version it was planned against.
+    version: int = field(default=0, init=False)
 
     def create(self, schema: TableSchema, *, num_partitions: int = 8,
                replicated: bool = False) -> TableInfo:
@@ -365,6 +368,7 @@ class Catalog:
             schema=schema, num_partitions=num_partitions, replicated=replicated
         )
         self.tables[schema.name] = info
+        self.version += 1
         return info
 
     def get(self, name: str) -> TableInfo:
@@ -385,6 +389,7 @@ class Catalog:
         if name not in self.tables:
             raise TableNotFoundError(f"unknown table: {name}")
         del self.tables[name]
+        self.version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self.tables

@@ -1,8 +1,12 @@
-"""A small SQL dialect for Cubrick queries.
+"""The canonical SQL printer for :class:`~repro.cubrick.query.Query`.
 
-Cubrick powers dashboards and interactive data-exploration tools; this
-module provides the query surface those tools would speak. The dialect
-covers exactly what the engine executes:
+:func:`render_query` prints a ``Query`` in the dialect the
+:mod:`repro.sql` frontend parses. Its output is ``Query.plan_key``, the
+key of the scheduler's result cache, so it must be deterministic and
+must identify the query: ``deployment.compile_sql(render_query(q)) == q``
+for every fan-out query the planner can emit against the catalog
+(checked by a property test). SQL is compiled elsewhere: every SQL
+surface goes through :mod:`repro.sql` parse → plan → ``build_physical``.
 
 .. code-block:: sql
 
@@ -13,36 +17,15 @@ covers exactly what the engine executes:
     GROUP BY dim_users.country
     ORDER BY sum(clicks) DESC
     LIMIT 5
-
-This module is the catalog-less compatibility surface over the full
-:mod:`repro.sql` frontend (hand-written lexer, recursive-descent parser,
-typed AST). :func:`parse_query` accepts everything the legacy dialect
-did plus the frontend's richer predicates (``!=``, ``<``, ``<=``, ``>``,
-``>=``, ``NOT IN``); predicates that need schema knowledge to lower
-(``OR``, ``NOT BETWEEN``, general ``NOT``) raise and point the caller at
-the catalog-aware planner behind ``deployment.sql``. All errors are
-:class:`~repro.errors.SqlError`, a :class:`~repro.errors.QueryError`
-subclass, so existing callers keep working unchanged.
-
-``render_query`` is unchanged from the legacy dialect (with a ``NOT
-IN`` spelling added) — the scheduler's result cache keys on its output,
-and ``parse_query(render_query(q)) == q`` holds for every expressible
-query (verified by a property test).
 """
 
 from __future__ import annotations
 
 from repro.cubrick.query import FilterOp, Query
-from repro.sql.parser import parse
-from repro.sql.planner import compile_statement
 
 
 def render_query(query: Query) -> str:
-    """Render a :class:`Query` back to the SQL dialect.
-
-    ``parse_query(render_query(q))`` reproduces ``q`` for every query the
-    dialect can express (verified by a property test).
-    """
+    """Render a :class:`Query` as one line of the SQL dialect."""
     parts = ["SELECT "]
     parts.append(", ".join(
         f"{agg.func.value}({agg.metric})" for agg in query.aggregations
@@ -90,15 +73,3 @@ def _render_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-def parse_query(sql: str) -> Query:
-    """Parse a SQL string into a :class:`~repro.cubrick.query.Query`.
-
-    >>> query = parse_query(
-    ...     "SELECT sum(clicks) FROM events WHERE day BETWEEN 0 AND 6"
-    ... )
-    >>> query.table
-    'events'
-    """
-    return compile_statement(parse(sql), source=sql)

@@ -19,12 +19,7 @@ from repro.sql.ast import SelectStatement, unparse
 from repro.sql.explain import explain, render_explain
 from repro.sql.parser import parse
 from repro.sql.physical import PhysicalPlan, build_physical, execute_plan
-from repro.sql.planner import (
-    LogicalPlan,
-    PlannerContext,
-    compile_statement,
-    plan,
-)
+from repro.sql.planner import LogicalPlan, PlannerContext, plan
 
 __all__ = [
     "LogicalPlan",
@@ -33,7 +28,6 @@ __all__ = [
     "SelectStatement",
     "SqlError",
     "build_physical",
-    "compile_statement",
     "execute_plan",
     "explain",
     "parse",

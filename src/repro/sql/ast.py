@@ -43,18 +43,6 @@ class ColumnRef:
     name: str
     pos: int = field(compare=False, default=0)
 
-    @property
-    def table(self) -> Optional[str]:
-        if "." in self.name:
-            return self.name.split(".", 1)[0]
-        return None
-
-    @property
-    def column(self) -> str:
-        if "." in self.name:
-            return self.name.split(".", 1)[1]
-        return self.name
-
 
 @dataclass(frozen=True)
 class AggregateCall:

@@ -1,21 +1,16 @@
 """Logical planner: resolve a parsed statement against the catalog.
 
-Two entry points share the predicate machinery:
+:func:`plan` is the one entry point, behind every SQL surface
+(``deployment.sql``, ``deployment.compile_sql``, ``deployment.explain``).
+Names are resolved against table schemas; WHERE trees (and/or/not, all
+six comparisons) compile to the engine's conjunctive ``Filter`` set via
+per-column interval algebra over the bounded integer domains, except
+that an AND of simple in-domain positive predicates maps verbatim
+(preserving value order, so ``render_query`` round-trips exactly); and
+the ordered rewrite-rule pipeline of :mod:`repro.sql.rules` annotates
+join strategy, pushdown, pruning and partial-aggregation placement.
 
-* :func:`plan` — the full catalog-aware path: names are resolved against
-  table schemas, WHERE trees (and/or/not, all six comparisons) compile
-  to the engine's conjunctive ``Filter`` set via per-column interval
-  algebra over the bounded integer domains, and the ordered rewrite-rule
-  pipeline of :mod:`repro.sql.rules` annotates join strategy, pushdown,
-  pruning and partial-aggregation placement.
-* :func:`compile_statement` — the catalog-less compatibility path behind
-  :func:`repro.cubrick.sql.parse_query`: simple conjunctive predicates
-  map verbatim onto filters (preserving value order, so
-  ``parse_query(render_query(q)) == q`` holds); anything needing domain
-  knowledge raises :class:`SqlError`.
-
-Numeric literals in dimension predicates are truncated to integers, as
-the legacy dialect always did.
+Numeric literals in dimension predicates are truncated to integers.
 """
 
 from __future__ import annotations
@@ -37,8 +32,8 @@ from repro.cubrick.schema import Catalog, TableInfo
 from repro.errors import SqlError
 from repro.sql import ast
 
-#: Stand-in upper bound for unbounded ``>`` / ``>=`` predicates in the
-#: catalog-less path (BETWEEN pruning clamps it to the domain).
+#: Stand-in bound for the open end of ``<``/``>`` comparisons; interval
+#: normalisation clamps it to the column's domain.
 UNBOUNDED_HIGH = 2**62
 
 
@@ -384,16 +379,15 @@ def emit_filters(
 
 
 def literal_conjuncts(
-    plan_or_none: Optional[LogicalPlan], pred: ast.Predicate
+    plan: LogicalPlan, pred: ast.Predicate
 ) -> Optional[list]:
     """The AND-of-simple-positive conjunct list, or None.
 
     Simple positive predicates (``=``, ``IN``, ``BETWEEN`` without NOT)
     map verbatim onto engine filters — preserving value order and
-    duplicates, which keeps ``render_query`` round-trips exact. With a
-    plan (catalog path), EQ/IN values must also be in-domain and BETWEEN
-    non-empty, so downstream brick pruning never sees an out-of-domain
-    value.
+    duplicates, which keeps ``render_query`` round-trips exact. EQ/IN
+    values must be in-domain and BETWEEN non-empty, so downstream brick
+    pruning never sees an out-of-domain value.
     """
     conjuncts = list(pred.items) if isinstance(pred, ast.And) else [pred]
     out = []
@@ -409,15 +403,14 @@ def literal_conjuncts(
             return None
         if not isinstance(item.operand, ast.ColumnRef):
             return None
-        if plan_or_none is not None:
-            domain = plan_or_none.binding.domain_of(item.operand.name)
-            values = []
-            if isinstance(item, ast.Comparison):
-                values = [item.value.value]
-            elif isinstance(item, ast.InList):
-                values = [v.value for v in item.values]
-            if any(not 0 <= int(v) < domain for v in values):
-                return None
+        domain = plan.binding.domain_of(item.operand.name)
+        values = []
+        if isinstance(item, ast.Comparison):
+            values = [item.value.value]
+        elif isinstance(item, ast.InList):
+            values = [v.value for v in item.values]
+        if any(not 0 <= int(v) < domain for v in values):
+            return None
         out.append(item)
     return out
 
@@ -787,135 +780,3 @@ def plan(
         limit=logical.limit,
     )
     return logical
-
-
-def compile_statement(
-    statement: ast.SelectStatement, *, source: Optional[str] = None
-) -> Query:
-    """Catalog-less lowering for the legacy ``parse_query`` surface.
-
-    Simple conjunctive predicates map verbatim; ``!=``/``<``/``<=``/
-    ``>``/``>=``/``NOT IN`` lower to complement and range filters with
-    an unbounded high end; everything needing domain knowledge (OR, NOT
-    BETWEEN, general NOT) raises :class:`SqlError` pointing the caller
-    at the catalog-aware planner.
-    """
-    stmt = statement
-
-    def err(message: str, pos: int) -> SqlError:
-        return SqlError(message, statement=source, position=pos)
-
-    aggregations = []
-    for call in stmt.aggregates():
-        aggregations.append(Aggregation(AggFunc(call.func), call.argument))
-    if not aggregations:
-        raise err("at least one aggregate is required in SELECT", stmt.pos)
-    group_by = tuple(ref.name for ref in stmt.group_by)
-    for item in stmt.select:
-        if isinstance(item, ast.ColumnRef) and item.name not in group_by:
-            raise err(
-                f"non-aggregate SELECT column {item.name!r} must appear "
-                f"in GROUP BY",
-                item.pos,
-            )
-    filters: list[Filter] = []
-    if stmt.where is not None:
-        filters = _compile_filters_without_catalog(stmt.where, err)
-    labels = {agg.label() for agg in aggregations}
-    having = []
-    for item in stmt.having:
-        if item.target not in labels and item.target not in group_by:
-            raise err(
-                f"HAVING target {item.target!r} is not a group column or "
-                f"selected aggregate",
-                item.pos,
-            )
-        having.append(Having(
-            column=item.target, op=CompareOp(item.op),
-            value=float(item.value.value),
-        ))
-    order_by = None
-    descending = True
-    if stmt.order is not None:
-        target = stmt.order.target
-        if target not in labels and target not in group_by:
-            raise err(
-                f"ORDER BY target {target!r} is not a group column or "
-                f"selected aggregate",
-                stmt.order.pos,
-            )
-        order_by = target
-        descending = stmt.order.descending
-    joins = [
-        Join(table=j.table, fact_key=j.fact_key, dim_key=j.dim_key)
-        for j in stmt.joins
-    ]
-    return Query(
-        table=stmt.table,
-        aggregations=tuple(aggregations),
-        group_by=group_by,
-        filters=tuple(filters),
-        joins=tuple(joins),
-        having=tuple(having),
-        order_by=order_by,
-        descending=descending,
-        limit=stmt.limit,
-    )
-
-
-def _compile_filters_without_catalog(pred: ast.Predicate, err) -> list[Filter]:
-    literals = literal_conjuncts(None, pred)
-    if literals is not None:
-        return filters_from_literals(literals)
-    conjuncts = list(pred.items) if isinstance(pred, ast.And) else [pred]
-    filters = []
-    for item in conjuncts:
-        filters.append(_compile_one_without_catalog(item, err))
-    return filters
-
-
-def _compile_one_without_catalog(item: ast.Predicate, err) -> Filter:
-    needs_catalog = (
-        "this predicate needs a catalog-aware planner "
-        "(use deployment.sql / repro.sql.plan)"
-    )
-    if isinstance(item, (ast.And, ast.Or, ast.Not)):
-        raise err(needs_catalog, item.pos)
-    operand = item.operand
-    if isinstance(operand, ast.AggregateCall):
-        raise err(
-            "aggregates are not allowed in WHERE (use HAVING)", operand.pos
-        )
-    column = operand.name
-    if isinstance(item, ast.Comparison):
-        value = item.value.value
-        if item.op == "=":
-            return Filter.eq(column, int(value))
-        if item.op == "!=":
-            return Filter.not_in(column, [int(value)])
-        if item.op in ("<", "<="):
-            high = (
-                math.ceil(value) - 1 if item.op == "<"
-                else math.floor(value)
-            )
-            if high < 0:
-                raise err(
-                    f"predicate on {column!r} is always false", item.pos
-                )
-            return Filter.between(column, 0, high)
-        low = (
-            math.floor(value) + 1 if item.op == ">" else math.ceil(value)
-        )
-        return Filter.between(column, max(low, 0), UNBOUNDED_HIGH)
-    if isinstance(item, ast.InList):
-        values = [int(v.value) for v in item.values]
-        if item.negated:
-            return Filter.not_in(column, values)
-        return Filter.isin(column, values)
-    # BetweenPred
-    if item.negated:
-        raise err(needs_catalog, item.pos)
-    low, high = int(item.low.value), int(item.high.value)
-    if low > high:
-        raise err(f"predicate on {column!r} is always false", item.pos)
-    return Filter.between(column, low, high)

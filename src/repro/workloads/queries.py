@@ -96,24 +96,6 @@ class QueryGenerator:
             raise ValueError(f"count must be non-negative: {count}")
         return [self.next_query() for __ in range(count)]
 
-    def next_sql(self, table: Optional[str] = None) -> str:
-        """One generated query rendered as a SQL statement.
-
-        The SQL-defined workload variant: the same schema-valid query
-        stream, but expressed in the dialect so it runs through the full
-        parse/plan/execute pipeline (``deployment.sql``) instead of the
-        programmatic :class:`Query` path.
-        """
-        from repro.cubrick.sql import render_query
-
-        return render_query(self.next_query(table))
-
-    def sql_stream(self, count: int) -> list[str]:
-        """Generate ``count`` SQL statements."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative: {count}")
-        return [self.next_sql() for __ in range(count)]
-
 
 def simple_probe_query(schema: TableSchema) -> Query:
     """The fan-out experiment's fixed 'same simple query' (paper §IV-H)."""

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cubrick.query import Query
-from repro.cubrick.sql import parse_query, render_query
+from repro.cubrick.sql import render_query
 from repro.errors import QueryFailedError, ReproError
 
 
@@ -94,7 +94,7 @@ class TraceRecorder:
         return self._deployment.query(query, **kwargs)
 
     def sql(self, statement: str, **kwargs):
-        return self.query(parse_query(statement), **kwargs)
+        return self.query(self._deployment.compile_sql(statement), **kwargs)
 
 
 def replay(deployment, trace: QueryTrace, *,
@@ -120,7 +120,7 @@ def replay(deployment, trace: QueryTrace, *,
             simulator.run_until(target)
         try:
             result = deployment.query(
-                parse_query(entry.sql), deadline=deadline
+                deployment.compile_sql(entry.sql), deadline=deadline
             )
         except QueryFailedError:
             failed += 1

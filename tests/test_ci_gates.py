@@ -5,7 +5,9 @@
   stay byte-identical. An ``ast`` walk enforces it where ruff is absent.
 * The perf ledger's tracing targets (``benchmarks/perf/tracing.py``)
   must keep resolving, or a traced run loses a layer; this checks them
-  in well under a second instead of in the minutes-long smoke run.
+  in well under a second instead of in the minutes-long smoke run. SQL
+  compilation must also keep calling them where the ledger's per-call
+  arithmetic expects.
 """
 
 import ast
@@ -86,12 +88,17 @@ def test_wall_clock_walk_catches_both_spellings(tmp_path):
     ]
 
 
-def test_tracing_targets_resolve():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perf_tracing", ROOT / "benchmarks" / "perf" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve():
+    tracing = _tracing()
     unresolved = []
     for module_name, owner_name, attr, __ in tracing.TARGETS:
         owner = importlib.import_module(module_name)
@@ -100,3 +107,32 @@ def test_tracing_targets_resolve():
         if not callable(getattr(owner, attr, None)):
             unresolved.append(f"{module_name}:{owner_name}.{attr}")
     assert not unresolved, f"tracing targets gone: {unresolved}"
+
+
+def test_compile_sql_spans_match_the_ledger_arithmetic():
+    """A statement-cache miss is one ``sql.compile`` span over three
+    ``sql.plan`` spans (parse, plan, build_physical), which is what the
+    ledger's ``sql.plan_us = self / (calls / 3)`` assumes; a hit is one
+    ``sql.compile`` span and no planning."""
+    from repro.core.deployment import CubrickDeployment, DeploymentConfig
+    from repro.cubrick.schema import Dimension, Metric, TableSchema
+
+    tracing = _tracing()
+    deployment = CubrickDeployment(
+        DeploymentConfig(seed=0, regions=1, racks_per_region=1, hosts_per_rack=2)
+    )
+    deployment.create_table(TableSchema.build(
+        "events", [Dimension("day", 30)], [Metric("clicks")]
+    ))
+    statement = "SELECT sum(clicks) FROM events WHERE day = 3"
+    recorder = tracing.Recorder()
+    tracing.install(recorder)
+    try:
+        deployment.compile_sql(statement)
+        miss = {name: total[0] for name, total in recorder.totals.items()}
+        deployment.compile_sql(statement)
+        both = {name: total[0] for name, total in recorder.totals.items()}
+    finally:
+        recorder.unpatch_all()
+    assert miss == {"sql.compile": 1, "sql.plan": 3}
+    assert both == {"sql.compile": 2, "sql.plan": 3}

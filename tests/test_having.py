@@ -10,7 +10,7 @@ from repro.cubrick.query import (
     Having,
     Query,
 )
-from repro.cubrick.sql import parse_query, render_query
+from repro.cubrick.sql import render_query
 from repro.cubrick.storage import PartitionStorage
 from repro.errors import QueryError
 from tests.conftest import insert_rows, make_rows
@@ -120,8 +120,8 @@ class TestHavingExecution:
 
 
 class TestHavingSql:
-    def test_parse(self):
-        query = parse_query(
+    def test_parse(self, tiny_deployment):
+        query = tiny_deployment.compile_sql(
             "SELECT sum(clicks) FROM events GROUP BY day "
             "HAVING sum(clicks) > 100"
         )
@@ -129,15 +129,15 @@ class TestHavingSql:
             Having("sum(clicks)", CompareOp.GT, 100.0),
         )
 
-    def test_parse_conjunction_and_ops(self):
-        query = parse_query(
-            "SELECT sum(c) FROM t GROUP BY d "
-            "HAVING sum(c) >= 10 AND d < 5"
+    def test_parse_conjunction_and_ops(self, tiny_deployment):
+        query = tiny_deployment.compile_sql(
+            "SELECT sum(clicks) FROM events GROUP BY day "
+            "HAVING sum(clicks) >= 10 AND day < 5"
         )
         assert query.having[0].op is CompareOp.GE
         assert query.having[1].op is CompareOp.LT
 
-    def test_render_roundtrip(self):
+    def test_render_roundtrip(self, tiny_deployment):
         query = Query.build(
             "events",
             [Aggregation(AggFunc.SUM, "clicks")],
@@ -145,12 +145,13 @@ class TestHavingSql:
             having=[Having("sum(clicks)", CompareOp.GT, 100.0),
                     Having("day", CompareOp.LE, 6.0)],
         )
-        assert parse_query(render_query(query)) == query
+        assert tiny_deployment.compile_sql(render_query(query)) == query
 
-    def test_unsupported_operator_rejected(self):
+    def test_unsupported_operator_rejected(self, tiny_deployment):
         with pytest.raises(QueryError):
-            parse_query(
-                "SELECT sum(c) FROM t GROUP BY d HAVING sum(c) between 1"
+            tiny_deployment.compile_sql(
+                "SELECT sum(clicks) FROM events GROUP BY day "
+                "HAVING sum(clicks) between 1"
             )
 
     def test_end_to_end(self, tiny_deployment):

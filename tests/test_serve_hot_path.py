@@ -3,10 +3,11 @@
 A hit is a statement-cache lookup, a result-cache lookup and a splice of
 the request id into bytes encoded once. These tests pin down the
 contracts that shortcut leans on: the spliced frame is byte-identical to
-the fully encoded one, the statement cache is bounded and never hides a
-dropped table, a running gateway keeps O(1) memory per request, the
-event-driven pump neither spins when idle nor lets virtual time go
-stale, and a client that stops reading is still cut off.
+the fully encoded one, the statement cache is bounded, replans after a
+schema change and never hides a dropped table, a running gateway keeps
+O(1) memory per request, the event-driven pump neither spins when idle
+nor lets virtual time go stale, and a client that stops reading is
+still cut off.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import tracemalloc
 import pytest
 
 from repro.core.deployment import STATEMENT_CACHE_SIZE
+from repro.cubrick.query import Filter
+from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.errors import SqlError, TableNotFoundError
 from repro.serve import (
     ServeClient,
@@ -109,20 +112,43 @@ def test_statement_cache_is_bounded_and_skips_failures():
     assert deployment.compile_sql(statement) is query
     assert query.plan_key == statement
 
-    # A statement that does not compile raises every time, uncached.
-    before = deployment._compile_statement.cache_info().currsize
-    for __ in range(2):
-        with pytest.raises(SqlError):
-            deployment.compile_sql("SELEKT sum(clicks) FROM events")
-    assert deployment._compile_statement.cache_info().currsize == before
+    # A statement that does not compile, or plans as something other
+    # than a fan-out, raises every time, uncached.
+    before = deployment._statement_cache.cache_info().currsize
+    for bad in ("SELEKT sum(clicks) FROM events",
+                "SELECT sum(clicks) FROM events WHERE day = 99"):
+        for __ in range(2):
+            with pytest.raises(SqlError):
+                deployment.compile_sql(bad)
+    assert deployment._statement_cache.cache_info().currsize == before
 
     # Bounded: a stream of distinct statements evicts the oldest.
     for limit in range(1, STATEMENT_CACHE_SIZE + 2):
         deployment.compile_sql(f"{statement} GROUP BY day LIMIT {limit}")
-    info = deployment._compile_statement.cache_info()
+    info = deployment._statement_cache.cache_info()
     assert info.currsize == info.maxsize == STATEMENT_CACHE_SIZE
     assert deployment.compile_sql(statement) is not query
     assert deployment.compile_sql(statement) == query
+
+
+def test_statement_cache_replans_after_the_schema_changes():
+    deployment = build_serving_deployment(0).deployment
+    metric = "SELECT sum(clicks) FROM events"
+    ranged = "SELECT count(*) FROM events WHERE day < 40"
+    cached = deployment.compile_sql(metric)
+    assert deployment.compile_sql(ranged).filters == ()  # all 30 days
+
+    deployment.drop_table("events")
+    deployment.create_table(TableSchema.build(
+        "events", [Dimension("day", 60, range_size=7)], [Metric("taps")]
+    ))
+    with pytest.raises(SqlError, match="unknown column 'clicks'"):
+        deployment.compile_sql(metric)
+    assert deployment.compile_sql(ranged).filters == (
+        Filter.between("day", 0, 39),
+    )
+    renamed = deployment.compile_sql("SELECT sum(taps) FROM events")
+    assert renamed is not cached and renamed.aggregations[0].metric == "taps"
 
 
 def test_statement_cache_never_hides_a_dropped_table():

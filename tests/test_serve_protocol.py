@@ -21,6 +21,7 @@ import signal
 
 import pytest
 
+from repro.cubrick.schema import Dimension, TableSchema
 from repro.errors import ConfigurationError, QueryError
 from repro.serve import (
     MAX_FRAME_BYTES,
@@ -440,6 +441,9 @@ def test_sql_error_is_typed_and_connection_survives():
         ({"op": "query", "table": "ghosts",
           "aggregations": [{"func": "sum", "metric": "clicks"}]},
          "table_not_found"),
+        ({"op": "sql", "sql": "SELECT sum(nope) FROM events"}, "sql"),
+        ({"op": "sql", "sql": "SELECT count(*) FROM events WHERE day = 99"},
+         "sql"),
     ],
 )
 def test_typed_request_errors(message, code):
@@ -448,10 +452,108 @@ def test_typed_request_errors(message, code):
         try:
             host, port = gateway.address
             async with ServeClient(host, port) as client:
+                records = len(gateway.manager.records)
                 with pytest.raises(ServeError) as excinfo:
                     await client.call(message)
                 assert excinfo.value.code == code
+                if code == "sql":
+                    # Rejected at compile time, positioned, before a slot.
+                    assert "^" in excinfo.value.error["context"]
+                    assert len(gateway.manager.records) == records
                 assert (await client.ping())["pong"] is True
+        finally:
+            await gateway.close()
+
+    run(check())
+
+
+JOIN_DAYS = 20  # dim tables hold days 0..19 of the fact table's 30
+
+
+async def started_gateway_with_dimensions() -> ServeGateway:
+    """The serving fleet plus a replicated and a sharded ``day`` table."""
+    serving = build_serving_deployment(0)
+    deployment = serving.deployment
+    rows = [{"day": day, "season": day % 4} for day in range(JOIN_DAYS)]
+    for table, kwargs in (
+        ("dim_days", {"replicated": True}),
+        ("dim_days_sharded", {"num_partitions": 2}),
+    ):
+        deployment.create_table(
+            TableSchema.build(
+                table, [Dimension("day", 30), Dimension("season", 4)], []
+            ),
+            **kwargs,
+        )
+        deployment.load(table, rows)
+    deployment.simulator.run_until(deployment.simulator.now + 30.0)
+    gateway = ServeGateway(serving)
+    await gateway.start()
+    return gateway
+
+
+def test_replicated_join_on_the_wire_is_an_inner_join():
+    statement = (
+        "SELECT count(*) FROM events JOIN dim_days "
+        "ON events.day = dim_days.day"
+    )
+
+    async def check():
+        gateway = await started_gateway_with_dimensions()
+        deployment = gateway.deployment
+        try:
+            per_day = deployment.sql(
+                "SELECT count(*) FROM events GROUP BY day"
+            ).rows
+            matched = sum(n for day, n in per_day if day < JOIN_DAYS)
+            assert matched < sum(n for __, n in per_day)
+            async with ServeClient(*gateway.address) as client:
+                wire = await client.sql(statement)
+            assert wire["rows"] == [[matched]]
+            assert wire["rows"] == [list(r) for r in deployment.sql(statement).rows]
+        finally:
+            await gateway.close()
+
+    run(check())
+
+
+def test_or_within_a_column_is_answered_on_the_wire():
+    statement = "SELECT sum(clicks) FROM events WHERE day = 1 OR day = 2"
+
+    async def check():
+        gateway = await started_gateway()
+        try:
+            async with ServeClient(*gateway.address) as client:
+                wire = await client.sql(statement)
+            expected = gateway.deployment.sql(statement).rows
+            assert wire["rows"] == [list(r) for r in expected]
+        finally:
+            await gateway.close()
+
+    run(check())
+
+
+@pytest.mark.parametrize(
+    "statement, plan",
+    [
+        ("SELECT count(*) FROM events WHERE day = 99", "plan is empty"),
+        ("SELECT count(*) FROM events JOIN dim_days_sharded "
+         "ON events.day = dim_days_sharded.day", "plan is broadcast-join"),
+    ],
+)
+def test_unschedulable_plans_answer_sql_naming_the_plan(statement, plan):
+    async def check():
+        gateway = await started_gateway_with_dimensions()
+        try:
+            records = len(gateway.manager.records)
+            async with ServeClient(*gateway.address) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    await client.sql(statement)
+            assert excinfo.value.code == "sql"
+            assert plan in excinfo.value.error["message"]
+            assert len(gateway.manager.records) == records
+            # deployment.sql still answers it.
+            gateway.deployment.sql(statement)
         finally:
             await gateway.close()
 
