@@ -26,6 +26,7 @@ conservative cap instead of a broken SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.host import HostState
@@ -150,7 +151,8 @@ class WallBreachController:
         log = self.deployment.proxy.query_log
         if len(log) < self.spec.min_window_samples:
             return 1.0
-        window = log[-self.spec.success_window:]
+        # The log may be a bounded deque, which does not slice.
+        window = list(islice(reversed(log), self.spec.success_window))
         return sum(1 for e in window if e.succeeded) / len(window)
 
     def mean_utilization(self) -> float:

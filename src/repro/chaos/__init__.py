@@ -5,10 +5,10 @@ query success ratio under full fan-out collapses as per-host failures
 compound (§II-A). This package provides the machinery to study — and
 defend — those recovery paths reproducibly:
 
-* :mod:`repro.chaos.policies` — one resilience-policy layer (retry
+* :mod:`repro.chaos.policies` — the per-query resilience policy (retry
   budgets, deterministic exponential backoff, per-hop timeouts, hedged
-  requests, graceful degradation) shared by the Cubrick proxy, the
-  region coordinator, the SM client, the migration engine and SM server.
+  requests, graceful degradation) that callers of the Cubrick proxy
+  choose and the region coordinator enforces.
 * :mod:`repro.chaos.faults` — a declarative, DES-clock-driven
   :class:`FaultSchedule` plus the :class:`ChaosInjector` that applies it
   (host crash/hang, slow disk, tail amplification, region partition,
@@ -32,9 +32,7 @@ from repro.chaos.policies import (
     HedgePolicy,
     ResiliencePolicy,
     RetryPolicy,
-    RetryStats,
     TimeoutPolicy,
-    call_with_retries,
 )
 from repro.chaos.scenarios import (
     ChaosReport,
@@ -57,9 +55,7 @@ __all__ = [
     "ProbeRecord",
     "ResiliencePolicy",
     "RetryPolicy",
-    "RetryStats",
     "TimeoutPolicy",
-    "call_with_retries",
     "list_scenarios",
     "run_scenario",
 ]

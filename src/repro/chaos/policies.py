@@ -1,11 +1,14 @@
-"""Unified resilience policies: one place for all retry/timeout decisions.
+"""Resilience policies: how one query rides out failures.
 
-Before this module existed, failure handling was scattered: the Cubrick
-proxy retried once per region with no backoff, the region coordinator
-had its own deadline semantics, the SM client did not retry at all, and
-SM server hard-coded five placement attempts. Production OLAP fleets
-(see "Enhancing OLAP Resilience at LinkedIn", PAPERS.md) centralise
-these decisions so they can be tuned — and chaos-tested — coherently.
+The paper's proxy retries a failed query in another region (§IV-D).
+A :class:`ResiliencePolicy` names every knob of that behaviour — retry
+budget and backoff, per-hop timeouts, hedged requests and labelled
+degradation — and is chosen by the caller of each query
+(``CubrickProxy.submit(policy=...)``), which passes it down to the
+region coordinator; no component stores one. "Enhancing OLAP Resilience
+at LinkedIn" (PAPERS.md) argues these decisions belong in one place.
+The default, :meth:`ResiliencePolicy.legacy`, is the paper's proxy;
+:meth:`ResiliencePolicy.resilient` is what the chaos probes run.
 
 Everything here is deterministic: backoff jitter is drawn from an
 injected :class:`numpy.random.Generator` (a named stream of the sim's
@@ -15,26 +18,10 @@ identically-seeded chaos runs retry at byte-identical virtual times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, TypeVar, Union
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.errors import (
-    ConfigurationError,
-    HostUnavailableError,
-    QueryFailedError,
-    RetryableShardError,
-    ShardMappingUnknownError,
-)
-
-T = TypeVar("T")
-
-#: Error classes every layer agrees are transient: the request may be
-#: retried (against the same or a different target) within the budget.
-TRANSIENT_ERRORS: tuple = (
-    HostUnavailableError,
-    RetryableShardError,
-    ShardMappingUnknownError,
-)
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -98,9 +85,7 @@ class TimeoutPolicy:
 
     A host whose (simulated) service time exceeds ``per_hop`` **counts
     as failed** — it consumes one attempt of the retry budget, exactly
-    like a crashed host. This resolves the historical divergence where
-    the coordinator counted a timed-out host as failed while the SM
-    client kept waiting on it indefinitely.
+    like a crashed host.
     """
 
     per_hop: Optional[float] = None  # None = no per-hop bound
@@ -160,7 +145,10 @@ class DegradationPolicy:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The full bundle threaded through proxy, coordinator, SM and chaos."""
+    """The full bundle one query runs under, from proxy to coordinator.
+
+    Frozen, so an instance is safe as a default argument.
+    """
 
     retry: RetryPolicy = RetryPolicy()
     timeout: TimeoutPolicy = TimeoutPolicy()
@@ -196,71 +184,3 @@ class ResiliencePolicy:
                 enabled=degrade, min_completeness=min_completeness
             ),
         )
-
-
-@dataclass
-class RetryStats:
-    """Bookkeeping for one policy-governed operation."""
-
-    attempts: int = 0
-    timeouts: int = 0
-    backoff_total: float = 0.0
-    errors: list = field(default_factory=list)  # stringified, in order
-
-    def record_error(self, error: BaseException) -> None:
-        self.errors.append(f"{type(error).__name__}: {error}")
-
-
-RetryablePredicate = Union[
-    Tuple[type, ...], Callable[[BaseException], bool]
-]
-
-
-def _is_retryable(error: BaseException, retryable: RetryablePredicate) -> bool:
-    if callable(retryable) and not isinstance(retryable, tuple):
-        return bool(retryable(error))
-    if isinstance(error, QueryFailedError):
-        # QueryFailedError carries its own retryability verdict.
-        return error.retryable and isinstance(error, retryable)
-    return isinstance(error, retryable)
-
-
-def call_with_retries(
-    fn: Callable[[int], T],
-    *,
-    policy: ResiliencePolicy,
-    rng=None,
-    retryable: RetryablePredicate = TRANSIENT_ERRORS,
-    on_retry: Optional[Callable[[int, float], None]] = None,
-) -> Tuple[T, RetryStats]:
-    """Run ``fn(attempt)`` under the policy's retry budget.
-
-    ``fn`` receives the 1-based attempt number. Transient errors (per
-    ``retryable`` — a class tuple or predicate) consume budget and are
-    retried after a deterministic backoff; everything else propagates
-    immediately. ``on_retry(attempt, delay)`` lets callers *spend* the
-    backoff delay (e.g. advance the virtual clock); by default it is
-    only accounted in the returned :class:`RetryStats`.
-
-    Returns ``(result, stats)``; re-raises the final error when the
-    budget runs out.
-    """
-    budget = policy.retry.budget(default=1)
-    stats = RetryStats()
-    last_error: Optional[BaseException] = None
-    for attempt in range(1, budget + 1):
-        stats.attempts = attempt
-        try:
-            return fn(attempt), stats
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            if not _is_retryable(exc, retryable):
-                raise
-            stats.record_error(exc)
-            last_error = exc
-            if attempt < budget:
-                delay = policy.retry.backoff_delay(attempt, rng)
-                stats.backoff_total += delay
-                if on_retry is not None:
-                    on_retry(attempt, delay)
-    assert last_error is not None
-    raise last_error

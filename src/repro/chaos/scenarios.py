@@ -18,7 +18,7 @@ import cycle during package initialisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -446,7 +446,7 @@ def run_scenario(
     name: str,
     seed: int = 0,
     *,
-    policy: Optional[ResiliencePolicy] = None,
+    policy: ResiliencePolicy = ResiliencePolicy.resilient(),
 ) -> ChaosReport:
     """Run one named scenario end to end; returns its :class:`ChaosReport`."""
     try:
@@ -456,8 +456,6 @@ def run_scenario(
         raise ConfigurationError(
             f"unknown chaos scenario {name!r} (known: {known})"
         ) from None
-    if policy is None:
-        policy = ResiliencePolicy.resilient()
 
     deployment, expected_total = build_chaos_deployment(
         seed, replicated=scenario.replicated

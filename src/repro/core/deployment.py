@@ -48,8 +48,6 @@ from repro.cubrick.sharding import (
 )
 from repro.errors import ConfigurationError, TableNotFoundError
 from repro.obs import Observability
-from repro.sched.cache import QueryResultCache
-from repro.sched.queue import NodeSlots
 from repro.shardmanager.server import SMServer
 from repro.shardmanager.spec import ServiceSpec
 from repro.sim.engine import Simulator
@@ -60,6 +58,9 @@ from repro.smc.registry import ServiceDiscovery
 
 #: Distinct SQL texts :meth:`CubrickDeployment.compile_sql` remembers.
 STATEMENT_CACHE_SIZE = 1024
+
+#: SSD capacity of every host: the capacity GEN3 load balancing exports.
+SSD_BYTES_PER_HOST = 32 * GIB
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,10 @@ class DeploymentConfig:
     mode: ShardingMode = ShardingMode.PARTIAL
     partitioning: PartitioningPolicy = PartitioningPolicy()
     memory_bytes_per_host: int = 4 * GIB
-    ssd_bytes_per_host: int = 32 * GIB
     lb_generation: LoadBalanceGeneration = LoadBalanceGeneration.GEN2_DECOMPRESSED
     # Per-host-visit probability of a mid-query failure (Figure 1 model);
     # 0 disables sampled failures (host-down failures still apply).
     query_failure_probability: float = 0.0
-    # Execution lanes per host (repro.sched.NodeSlots): scans at a busy
-    # host wait for a free lane, so per-node queueing delay appears in
-    # query latency. None = legacy unbounded concurrency.
-    executor_slots_per_host: Optional[int] = None
-    # Proxy result-cache entries; 0 disables caching (legacy behaviour).
-    result_cache_capacity: int = 0
     # Consensus-replicated metadata (repro.consensus): every region's SM
     # stores its shard map in a Raft-replicated datastore instead of a
     # process-local dict, so metadata survives a full region partition.
@@ -123,7 +117,7 @@ class CubrickDeployment:
             racks_per_region=cfg.racks_per_region,
             hosts_per_rack=cfg.hosts_per_rack,
             memory_bytes=cfg.memory_bytes_per_host,
-            ssd_bytes=cfg.ssd_bytes_per_host,
+            ssd_bytes=SSD_BYTES_PER_HOST,
         )
         self.catalog = Catalog()
         self.mapper = mapper if mapper is not None else MonotonicHashMapper(
@@ -199,7 +193,6 @@ class CubrickDeployment:
                 failure_model=failure_model,
                 rng=self.rngs.stream(f"coordinator:{region}"),
                 obs=self.obs,
-                node_slots=cfg.executor_slots_per_host,
             )
         self.coordinators = coordinators
         # Failover data recovery crosses regions (paper §IV-D): when a
@@ -214,8 +207,6 @@ class CubrickDeployment:
             rng=self.rngs.stream("proxy"),
             obs=self.obs,
         )
-        if cfg.result_cache_capacity > 0:
-            self.proxy.result_cache = QueryResultCache(cfg.result_cache_capacity)
         # Statement cache: (SQL text, catalog version) -> fan-out Query.
         # A create or drop moves the version, so no entry outlives the
         # schema it was planned against; a statement that raises is not
@@ -234,7 +225,7 @@ class CubrickDeployment:
     def _new_node(self, host_id: str, memory_bytes: int,
                   ssd_bytes: int) -> CubrickNode:
         """Construct one CubrickNode with the deployment's standard wiring."""
-        node = CubrickNode(
+        return CubrickNode(
             host_id,
             self.catalog,
             self.directory,
@@ -247,9 +238,6 @@ class CubrickDeployment:
             ),
             obs=self.obs,
         )
-        if self.config.executor_slots_per_host is not None:
-            node.execution_slots = NodeSlots(self.config.executor_slots_per_host)
-        return node
 
     def _make_recovery_provider(self, region: str):
         def provider(shard_id: int):
@@ -832,7 +820,7 @@ class CubrickDeployment:
                 region=region,
                 rack=rack,
                 memory_bytes=self.config.memory_bytes_per_host,
-                ssd_bytes=self.config.ssd_bytes_per_host,
+                ssd_bytes=SSD_BYTES_PER_HOST,
             )
             self.cluster.add_host(host)
             node = self._new_node(host_id, host.memory_bytes, host.ssd_bytes)

@@ -43,7 +43,7 @@ from repro.cubrick.partitioning import (
     plan_repartition,
     skew,
 )
-from repro.cubrick.proxy import AdmissionController, CubrickProxy, QueryLogEntry
+from repro.cubrick.proxy import CubrickProxy, QueryLogEntry
 from repro.cubrick.query import (
     AggFunc,
     Aggregation,
@@ -109,7 +109,6 @@ __all__ = [
     "plan_repartition",
     "skew",
     "CubrickProxy",
-    "AdmissionController",
     "QueryLogEntry",
     "AggFunc",
     "Aggregation",

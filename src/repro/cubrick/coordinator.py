@@ -15,6 +15,7 @@ mechanism behind Figure 5.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -31,7 +32,6 @@ from repro.errors import (
     ShardMappingUnknownError,
 )
 from repro.obs import Observability
-from repro.sched.queue import NodeSlots
 from repro.shardmanager.server import SMServer
 from repro.sim.latency import LatencyModel, LogNormalTailLatency
 from repro.sim.failures import BernoulliFailureModel
@@ -68,9 +68,7 @@ class RegionCoordinator:
         latency_model: Optional[LatencyModel] = None,
         failure_model: Optional[BernoulliFailureModel] = None,
         rng: Optional[np.random.Generator] = None,
-        policy: Optional[ResiliencePolicy] = None,
         obs: Optional[Observability] = None,
-        node_slots: Optional[int] = None,
     ):
         self.region = region
         self.sm = sm_server
@@ -81,19 +79,13 @@ class RegionCoordinator:
         )
         self.failure_model = failure_model
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Default resilience policy for executions (per-hop timeouts and
-        #: hedging); the proxy may override per call. None = legacy
-        #: behaviour (no per-hop bound, no hedging).
-        self.policy = policy
         #: Chaos hook: maps (host_id, sampled service time) -> shaped
         #: service time. Installed by ChaosInjector for slow-disk,
         #: tail-amplification and hang faults.
         self.service_time_hook: Optional[Callable[[str, float], float]] = None
-        #: Per-host execution lanes (repro.sched). None = legacy
-        #: behaviour: unbounded concurrency, no lane wait.
-        self.node_slots_per_host = node_slots
-        self._node_slots: dict[str, NodeSlots] = {}
-        self.executions: list[QueryExecution] = []
+        #: Every execution, unless a long-running caller bounded it
+        #: (``WorkloadManager.retain_recent``).
+        self.executions: "list[QueryExecution] | deque[QueryExecution]" = []
         self.obs = obs if obs is not None else Observability()
         self._latency_histogram = self.obs.metrics.histogram(
             "cubrick.coordinator.latency_seconds", region=region
@@ -156,7 +148,7 @@ class RegionCoordinator:
         extra_roundtrips: int = 0,
         allow_partial: bool = False,
         straggler_timeout: Optional[float] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = ResiliencePolicy.legacy(),
         extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
     ) -> QueryResult:
         """Distribute, execute and merge one query in this region.
@@ -173,20 +165,18 @@ class RegionCoordinator:
         (fraction of partitions that contributed), trading consistency
         and accuracy for availability and bounded latency.
 
-        ``policy`` (falling back to the coordinator's default) adds the
-        unified resilience semantics: a host whose shaped service time
-        exceeds the per-hop timeout **counts as failed** — it raises the
-        same retryable error as a crashed host (or is skipped in partial
-        mode) — and hosts slower than the hedge trigger are hedged with
-        duplicate requests, the fastest answer winning.
+        ``policy`` is the query's resilience policy, chosen by the
+        caller: a host whose shaped service time exceeds its per-hop
+        timeout **counts as failed** — it raises the same retryable
+        error as a crashed host (or is skipped in partial mode) — and
+        hosts slower than its hedge trigger are hedged with duplicate
+        requests, the fastest answer winning. ``legacy()`` sets neither.
 
         ``extra_lookups`` passes coordinator-built join lookup arrays
         (keyed by dotted column name) down to every node scan — the SQL
         physical plan's broadcast-join step for sharded dimension
         tables.
         """
-        if policy is None:
-            policy = self.policy
         with self.obs.tracer.span(
             "cubrick.coordinator.execute", region=self.region, table=query.table
         ) as span:
@@ -225,7 +215,7 @@ class RegionCoordinator:
         extra_roundtrips: int,
         allow_partial: bool,
         straggler_timeout: Optional[float],
-        policy: Optional[ResiliencePolicy],
+        policy: ResiliencePolicy,
         extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
     ) -> QueryResult:
         info = self.catalog.get(query.table)
@@ -335,7 +325,7 @@ class RegionCoordinator:
         *,
         allow_partial: bool,
         straggler_timeout: Optional[float],
-        policy: Optional[ResiliencePolicy],
+        policy: ResiliencePolicy,
         extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
     ) -> tuple[PartialResult, float, int, int, list[str]]:
         """Run the per-host scan loop and merge node partials.
@@ -368,18 +358,12 @@ class RegionCoordinator:
                     host=host_id,
                 )
             service_time = self._sample_service_time(host_id)
-            if policy is not None and policy.hedge.enabled:
+            if policy.hedge.enabled:
                 service_time, used = self._hedged_service_time(
                     host_id, service_time, policy
                 )
                 hedges += used
-            # Per-host lane contention: a busy host answers later queries
-            # slower. The lane wait counts against per-hop timeouts, like
-            # real queueing at the node would.
-            raw_service = service_time
-            service_time = self._shape_node_slots(host_id, service_time)
-            lane_wait = service_time - raw_service
-            if policy is not None and policy.timeout.is_timeout(service_time):
+            if policy.timeout.is_timeout(service_time):
                 # Unified per-hop timeout semantics: a hop slower than
                 # the bound consumes an attempt exactly like a crash.
                 if allow_partial:
@@ -443,9 +427,8 @@ class RegionCoordinator:
                     partitions=len(indexes),
                     bricks_scanned=partial.bricks_scanned,
                     rows_scanned=partial.rows_scanned,
-                    lane_wait=lane_wait,
                 )
-                self._retime_kernels(scan_span, lane_wait)
+                self._retime_kernels(scan_span)
             execution.per_host_latency[host_id] = service_time
             slowest = max(slowest, service_time)
             answered_partitions += len(indexes)
@@ -457,7 +440,7 @@ class RegionCoordinator:
         query: Query,
         *,
         extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = ResiliencePolicy.legacy(),
     ) -> tuple[PartialResult, dict]:
         """Fan out a query and return the merged *pre-finalize* partial.
 
@@ -467,8 +450,6 @@ class RegionCoordinator:
         needs the merged partial, not shaped rows. Strict mode only: a
         failed host raises a retryable :class:`QueryFailedError`.
         """
-        if policy is None:
-            policy = self.policy
         info = self.catalog.get(query.table)
         execution = QueryExecution(query=query, region=self.region)
         self.executions.append(execution)
@@ -512,7 +493,7 @@ class RegionCoordinator:
         columns: list[str],
         filters: tuple = (),
         *,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = ResiliencePolicy.legacy(),
     ) -> tuple[dict[str, np.ndarray], float, int]:
         """Gather raw columns of a sharded table onto the coordinator.
 
@@ -524,8 +505,6 @@ class RegionCoordinator:
         concatenate in sorted host order, partition order within each
         host, so collection is deterministic for a fixed layout.
         """
-        if policy is None:
-            policy = self.policy
         info = self.catalog.tables.get(table)
         physical = info.physical_table if info is not None else table
         with self.obs.tracer.span(
@@ -548,9 +527,7 @@ class RegionCoordinator:
                         host=host_id,
                     )
                 service_time = self._sample_service_time(host_id)
-                if policy is not None and policy.timeout.is_timeout(
-                    service_time
-                ):
+                if policy.timeout.is_timeout(service_time):
                     raise QueryFailedError(
                         f"host {host_id} exceeded {policy.timeout.per_hop}s "
                         f"per-hop timeout while collecting {table}",
@@ -604,39 +581,16 @@ class RegionCoordinator:
             service_time = self.service_time_hook(host_id, service_time)
         return service_time
 
-    def _shape_node_slots(self, host_id: str, service_time: float) -> float:
-        """Add per-host lane wait when execution slots are configured.
-
-        The node's own :class:`NodeSlots` is preferred (installed by the
-        deployment, shared by every consumer of the host); a
-        coordinator-local one is kept for hosts that don't carry slots.
-        """
-        if self.node_slots_per_host is None:
-            return service_time
-        slots = None
-        try:
-            node = self.sm.app_server(host_id)
-            slots = getattr(node, "execution_slots", None)
-        except ConfigurationError:
-            pass
-        if slots is None:
-            slots = self._node_slots.get(host_id)
-            if slots is None:
-                slots = NodeSlots(self.node_slots_per_host)
-                self._node_slots[host_id] = slots
-        return slots.occupy(self.sm.simulator.now, service_time)
-
     @staticmethod
-    def _retime_kernels(scan_span, lane_wait: float) -> None:
+    def _retime_kernels(scan_span) -> None:
         """Lay kernel child spans along the scan's simulated interval.
 
         The node's kernel spans open and close at a single clock instant
         (the DES clock does not advance during execution). The sampled
-        service time minus the lane wait is the scan's compute window;
-        apportion it across the kernel spans proportional to rows
-        scanned (equally when nothing was scanned), so profiler
-        breakdowns charge the compute window to kernel families and the
-        residual head of the scan span to lane queueing.
+        service time is the scan's compute window; apportion it across
+        the kernel spans proportional to rows scanned (equally when
+        nothing was scanned), so profiler breakdowns charge the compute
+        window to kernel families.
         """
         kernels = [
             child for child in scan_span.children
@@ -644,7 +598,7 @@ class RegionCoordinator:
         ]
         if not kernels:
             return
-        window = max(0.0, scan_span.duration - lane_wait)
+        window = scan_span.duration
         rows = [
             int(kernel.annotations.get("rows_scanned", 0))
             for kernel in kernels
@@ -654,7 +608,7 @@ class RegionCoordinator:
             shares = [window * count / total for count in rows]
         else:
             shares = [window / len(kernels)] * len(kernels)
-        cursor = scan_span.start + lane_wait
+        cursor = scan_span.start
         for kernel, share in zip(kernels, shares):
             kernel.shift(cursor - kernel.start)
             kernel.set_duration(share)
@@ -731,6 +685,3 @@ class RegionCoordinator:
             return 1.0
         succeeded = sum(1 for e in self.executions if e.succeeded)
         return succeeded / len(self.executions)
-
-    def latencies(self) -> list[float]:
-        return [e.latency for e in self.executions if e.succeeded]

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.chaos.policies import ResiliencePolicy, call_with_retries
 from repro.cubrick.bricks import Brick
 from repro.cubrick.compression import MemoryBudget, MemoryMonitor, MonitorReport, decay_all
 from repro.cubrick.loadbalance import (
@@ -52,16 +51,9 @@ class CubrickNode(ApplicationServer):
         memory_budget: Optional[MemoryBudget] = None,
         decay_rng: Optional[np.random.Generator] = None,
         allow_ssd_eviction: bool = False,
-        recovery_policy: Optional[ResiliencePolicy] = None,
         obs: Optional[Observability] = None,
     ):
         super().__init__(host_id)
-        # Governs donor reads during shard recovery; the legacy default
-        # is a single attempt (the pre-policy behaviour).
-        self.recovery_policy = (
-            recovery_policy if recovery_policy is not None
-            else ResiliencePolicy.legacy()
-        )
         self.catalog = catalog
         self.directory = directory
         self.obs = obs if obs is not None else Observability()
@@ -84,11 +76,6 @@ class CubrickNode(ApplicationServer):
         # Replicated dimension tables: full copies on every node, used to
         # answer joins locally (paper §II-B).
         self._replicated: dict[str, PartitionStorage] = {}
-        # Per-node execution lanes (repro.sched.NodeSlots), installed by
-        # the deployment when executor slots are configured; None =
-        # unbounded concurrency. The region coordinator routes every
-        # scan's service time through these lanes when present.
-        self.execution_slots = None
 
     # ------------------------------------------------------------------
     # SM ApplicationServer endpoints
@@ -138,15 +125,10 @@ class CubrickNode(ApplicationServer):
             donor = source._partitions.get(name)
             if donor is not None and donor.rows:
                 # Columnar copy: materialise the donor once and bulk-load
-                # through the vectorised path instead of row dicts. The
-                # read side is policy-retried (transient donor hiccups);
-                # the local insert happens exactly once, *after* a full
-                # read succeeded, so retries can never double-insert.
-                columns, __ = call_with_retries(
-                    lambda __attempt: donor.all_columns(),
-                    policy=self.recovery_policy,
-                )
-                storage.insert_columns(columns)
+                # through the vectorised path instead of row dicts. A
+                # failed read propagates before anything is inserted or
+                # registered, so the shard is either whole or absent.
+                storage.insert_columns(donor.all_columns())
         return storage
 
     def drop_shard(self, shard_id: int) -> None:

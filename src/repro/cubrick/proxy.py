@@ -16,6 +16,7 @@ Every query is submitted to a Cubrick proxy, which:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,18 +56,6 @@ class QueryLogEntry:
     cached: bool = False
 
 
-@dataclass
-class AdmissionController(SlidingWindowAdmission):
-    """Compat shim: the sliding-window limiter now lives in ``repro.sched``.
-
-    Kept so existing callers (and tests) that reach for
-    ``proxy.admission.max_qps`` / ``set_table_quota`` keep working; the
-    implementation — including the fast-path fix that records arrivals
-    even while no limit is configured — is
-    :class:`repro.sched.admission.SlidingWindowAdmission`.
-    """
-
-
 class CubrickProxy:
     """Routes queries to regional coordinators with retries + blacklisting."""
 
@@ -77,19 +66,13 @@ class CubrickProxy:
         region_preference: Optional[list[str]] = None,
         home_region: Optional[str] = None,
         locator: Optional[CoordinatorLocator] = None,
-        max_qps: float = float("inf"),
         blacklist_ttl: float = 300.0,
         rng: Optional[np.random.Generator] = None,
-        policy: Optional[ResiliencePolicy] = None,
         obs: Optional[Observability] = None,
     ):
         if not coordinators:
             raise ConfigurationError("proxy needs at least one region coordinator")
         self.coordinators = dict(coordinators)
-        # The unified resilience policy. The default reproduces the
-        # pre-policy behaviour exactly: one attempt per candidate
-        # region, no backoff, no per-hop timeout, no degradation.
-        self.policy = policy if policy is not None else ResiliencePolicy.legacy()
         if home_region is not None and home_region not in coordinators:
             raise ConfigurationError(f"unknown home region: {home_region}")
         self.home_region = home_region
@@ -105,14 +88,18 @@ class CubrickProxy:
             raise ConfigurationError(f"unknown regions in preference: {unknown}")
         self.region_preference = preference
         self.locator = locator if locator is not None else CachedRandom()
-        self.admission = AdmissionController(max_qps=max_qps)
+        # Unlimited until a caller sets ``admission.max_qps`` or a
+        # table quota.
+        self.admission = SlidingWindowAdmission()
         # Optional proxy-level result cache (repro.sched). Off by
-        # default; installed by the workload manager or the deployment.
+        # default; installed by the workload manager.
         self.result_cache: Optional[QueryResultCache] = None
         self.blacklist_ttl = blacklist_ttl
         self._blacklist: dict[str, float] = {}  # host -> expiry time
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.query_log: list[QueryLogEntry] = []
+        #: Every proxied query, unless a long-running caller bounded it
+        #: (``WorkloadManager.retain_recent``).
+        self.query_log: "list[QueryLogEntry] | deque[QueryLogEntry]" = []
         self.obs = obs if obs is not None else Observability()
         self._retry_counter = self.obs.metrics.counter("cubrick.proxy.retries")
         self._cross_region_counter = self.obs.metrics.counter(
@@ -230,7 +217,7 @@ class CubrickProxy:
         allow_partial: bool = False,
         straggler_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = ResiliencePolicy.legacy(),
         cache_lookup: bool = True,
     ) -> QueryResult:
         """Route one query; retry retryable failures across regions.
@@ -246,13 +233,15 @@ class CubrickProxy:
         final result's ``metadata["latency_total"]`` accounts for the
         time burnt on abandoned attempts.
 
-        ``policy`` overrides the proxy's resilience policy for this one
-        query: retry budget and backoff (attempts cycle through the
-        candidate regions), per-hop timeouts and hedging (enforced by
-        the coordinator) and graceful degradation — when the budget is
-        exhausted on retryable failures, the query is re-executed in
-        partial mode and the answer returned with an explicit
-        ``metadata["completeness"]`` fraction instead of failing.
+        ``policy`` is this query's resilience policy: retry budget and
+        backoff (attempts cycle through the candidate regions), per-hop
+        timeouts and hedging (enforced by the coordinator) and graceful
+        degradation — when the budget is exhausted on retryable
+        failures, the query is re-executed in partial mode and the
+        answer returned with an explicit ``metadata["completeness"]``
+        fraction instead of failing. The default, ``legacy()``, is the
+        paper's proxy: one attempt per candidate region, no backoff, no
+        per-hop timeout, no degradation.
 
         ``cache_lookup=False`` skips the result-cache *lookup* (for
         callers like the workload manager that already checked) while
@@ -291,7 +280,7 @@ class CubrickProxy:
                     allow_partial=allow_partial,
                     straggler_timeout=straggler_timeout,
                     deadline=deadline,
-                    policy=policy if policy is not None else self.policy,
+                    policy=policy,
                 )
             except AdmissionControlError:
                 span.annotate(outcome="admission_rejected")
@@ -605,7 +594,3 @@ class CubrickProxy:
             1 for e in self.query_log if e.succeeded and e.attempts == 1
         )
         return first_try / len(self.query_log)
-
-    def latencies(self) -> list[float]:
-        return [e.latency for e in self.query_log
-                if e.succeeded and e.latency is not None]

@@ -14,7 +14,7 @@ from repro.sched.admission import (
     REASON_SHED,
     REASON_TENANT_QUOTA,
     AdaptiveShedder,
-    AdmissionControllerV2,
+    AdmissionController,
     AdmissionDecision,
     SlidingWindowAdmission,
     TokenBucket,
@@ -32,7 +32,6 @@ from repro.sched.queue import (
     OUTCOME_OK,
     OUTCOME_QUEUE_FULL,
     ExecutorQueue,
-    NodeSlots,
     PriorityClass,
     QueueStats,
     ScheduledJob,
@@ -40,13 +39,12 @@ from repro.sched.queue import (
 
 __all__ = [
     "AdaptiveShedder",
-    "AdmissionControllerV2",
+    "AdmissionController",
     "AdmissionDecision",
     "CACHE_HIT_LATENCY",
     "CacheStats",
     "ExecutorQueue",
     "JobRecord",
-    "NodeSlots",
     "OUTCOME_EXPIRED",
     "OUTCOME_FAILED",
     "OUTCOME_OK",

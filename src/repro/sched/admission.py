@@ -1,16 +1,14 @@
 """Admission control: sliding windows, token buckets, adaptive shedding.
 
-Three generations of the proxy front door live here:
+Two front doors and their building block live here:
 
-* :class:`SlidingWindowAdmission` — the original 37-line sliding-window
-  QPS limiter absorbed from ``repro.cubrick.proxy`` (the proxy keeps a
-  behaviour-identical ``AdmissionController`` shim subclassing it).
-  Includes the fast-path fix: arrivals are recorded even while no limit
-  is configured, so tightening ``max_qps`` mid-run sees the true recent
-  rate instead of an empty window.
+* :class:`SlidingWindowAdmission` — the Cubrick proxy's sliding-window
+  QPS limiter (``proxy.admission``). Arrivals are recorded even while
+  no limit is configured, so tightening ``max_qps`` mid-run sees the
+  true recent rate instead of an empty window.
 * :class:`TokenBucket` — deterministic token bucket refilled from the
   virtual clock; the building block for global and per-tenant quotas.
-* :class:`AdmissionControllerV2` — the workload-management front door:
+* :class:`AdmissionController` — the workload-management front door:
   a global bucket, per-tenant buckets (the multi-tenant fairness lever,
   paper §II-C) and an optional :class:`AdaptiveShedder` that reads the
   observed success ratio from the shared ``repro.obs`` metrics registry
@@ -220,7 +218,7 @@ class AdmissionDecision:
     reason: str  # REASON_OK | REASON_QUOTA | REASON_TENANT_QUOTA | REASON_SHED
 
 
-class AdmissionControllerV2:
+class AdmissionController:
     """Token-bucket admission with per-tenant quotas and adaptive shedding.
 
     Decision order: shed check first (shedding exists to protect the

@@ -31,11 +31,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TableNotFoundError
 from repro.sched.admission import (
     REASON_OK,
     AdaptiveShedder,
-    AdmissionControllerV2,
+    AdmissionController,
 )
 from repro.sched.cache import CACHE_HIT_LATENCY, CacheEntry, QueryResultCache
 from repro.sched.queue import (
@@ -70,14 +70,7 @@ class SchedPolicy:
     global_rate: Optional[float] = None
     tenant_rate: Optional[float] = None
     adaptive_shedding: bool = True
-    sla_target: float = 0.99
-    shed_window: float = 5.0
     cache_capacity: int = 256
-
-    @classmethod
-    def managed(cls, **overrides) -> "SchedPolicy":
-        """The defended configuration (defaults, overridable)."""
-        return cls(**overrides)
 
     @classmethod
     def legacy(cls, **overrides) -> "SchedPolicy":
@@ -153,10 +146,7 @@ class WorkloadManager:
         shedder = None
         if self.policy.adaptive_shedding:
             shedder = AdaptiveShedder(
-                self.obs.metrics,
-                sla_target=self.policy.sla_target,
-                window=self.policy.shed_window,
-                pressure_fn=self.queue_pressure,
+                self.obs.metrics, pressure_fn=self.queue_pressure
             )
         self.shedder = shedder
         if (
@@ -164,7 +154,7 @@ class WorkloadManager:
             or self.policy.tenant_rate is not None
             or shedder is not None
         ):
-            self.admission: Optional[AdmissionControllerV2] = AdmissionControllerV2(
+            self.admission: Optional[AdmissionController] = AdmissionController(
                 global_rate=self.policy.global_rate,
                 default_tenant_rate=self.policy.tenant_rate,
                 shedder=shedder,
@@ -218,7 +208,9 @@ class WorkloadManager:
         return met / (met + missed) if met + missed else 1.0
 
     def retain_recent(self, limit: int) -> None:
-        """Keep only the ``limit`` most recent records from now on.
+        """Keep only the ``limit`` most recent entries of every per-query
+        log from now on: these records, the proxy's ``query_log`` and
+        each region coordinator's ``executions``.
 
         Finite experiments read every record back; a server that runs
         until it is told to stop must not grow with its request count.
@@ -226,6 +218,10 @@ class WorkloadManager:
         if limit <= 0:
             raise ConfigurationError(f"record limit must be positive: {limit}")
         self.records = deque(self.records, maxlen=limit)
+        proxy = self.deployment.proxy
+        proxy.query_log = deque(proxy.query_log, maxlen=limit)
+        for coordinator in self.deployment.coordinators.values():
+            coordinator.executions = deque(coordinator.executions, maxlen=limit)
 
     # ------------------------------------------------------------------
     # Submission
@@ -258,12 +254,18 @@ class WorkloadManager:
         self.records.append(record)
 
         if self.cache is not None:
-            info = self.deployment.catalog.get(query.table)
-            entry = self.cache.lookup(
-                query,
-                generation=info.generation,
-                ingest_generation=info.ingest_generation,
-            )
+            try:
+                info = self.deployment.catalog.get(query.table)
+            except TableNotFoundError:
+                # A miss: the queued job fails and resolves the record,
+                # exactly as without a cache.
+                entry = None
+            else:
+                entry = self.cache.lookup(
+                    query,
+                    generation=info.generation,
+                    ingest_generation=info.ingest_generation,
+                )
             if entry is not None:
                 record.outcome = "cache_hit"
                 record.cache_entry = entry

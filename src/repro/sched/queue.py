@@ -10,22 +10,16 @@ dispatch discipline and an unbounded FIFO is the difference between a
 defended SLA and a latency collapse ("Enhancing OLAP Resilience at
 LinkedIn", PAPERS.md).
 
-Two pieces model that here:
-
-* :class:`ExecutorQueue` — a genuinely event-driven queue bound to the
-  DES simulator. Jobs occupy one of ``slots`` concurrency slots for
-  their (sampled) service time; slots free up via completion events on
-  the virtual clock, so queueing delay is real virtual time that shows
-  up in query latency. Waiting jobs dispatch in **priority-class order,
-  then earliest-deadline-first (EDF)** within a class; jobs whose
-  deadline lapses while queued are dropped without execution, and jobs
-  arriving at a full queue are rejected immediately (load shedding at
-  the queue, the last line of defence behind admission control).
-* :class:`NodeSlots` — a lighter per-host concurrency shaper used inside
-  the region coordinator: each host scan claims the earliest-free of
-  ``slots`` lanes, and the lane wait is added to the scan's service
-  time. It models slot contention *across* queries arriving at
-  different virtual times without reordering (scans resolve at arrival).
+:class:`ExecutorQueue` models that here: a genuinely event-driven
+queue bound to the DES simulator. Jobs occupy one of ``slots``
+concurrency slots for their (sampled) service time; slots free up via
+completion events on the virtual clock, so queueing delay is real
+virtual time that shows up in query latency. Waiting jobs dispatch in
+**priority-class order, then earliest-deadline-first (EDF)** within a
+class; jobs whose deadline lapses while queued are dropped without
+execution, and jobs arriving at a full queue are rejected immediately
+(load shedding at the queue, the last line of defence behind admission
+control).
 """
 
 from __future__ import annotations
@@ -114,9 +108,6 @@ class QueueStats:
     expired: int = 0
     max_depth: int = 0  # peak number of *waiting* jobs ever observed
     total_wait: float = 0.0  # summed queue delay of dispatched jobs
-
-    def mean_wait(self) -> float:
-        return self.total_wait / self.dispatched if self.dispatched else 0.0
 
 
 class ExecutorQueue:
@@ -284,50 +275,3 @@ class ExecutorQueue:
             self._jobs_counter(outcome).inc()
         if job.on_complete is not None:
             job.on_complete(job)
-
-
-class NodeSlots:
-    """Per-host execution lanes: scans wait for the earliest-free lane.
-
-    The coordinator routes every host scan through the host's
-    :class:`NodeSlots`; the returned wait is added to the scan's service
-    time, so a host already busy with earlier queries answers later ones
-    slower — per-node queueing delay appears in query latency without
-    changing the synchronous execution model. Lane bookkeeping lives on
-    the virtual clock, so identically-seeded runs shape identically.
-    """
-
-    def __init__(self, slots: int = 4, *, max_wait: Optional[float] = None):
-        if slots <= 0:
-            raise ConfigurationError(f"node slots must be positive: {slots}")
-        if max_wait is not None and max_wait < 0:
-            raise ConfigurationError(f"max_wait must be non-negative: {max_wait}")
-        self.slots = slots
-        self.max_wait = max_wait
-        self._free_at: list[float] = [0.0] * slots  # min-heap of lane-free times
-        heapq.heapify(self._free_at)
-        self.scans = 0
-        self.total_wait = 0.0
-
-    def wait_for_lane(self, now: float) -> float:
-        """Wait the next scan arriving at ``now`` would incur (peek)."""
-        return max(0.0, self._free_at[0] - now)
-
-    def occupy(self, now: float, service_time: float) -> float:
-        """Claim a lane for one scan; returns the *effective* service time.
-
-        The effective time is lane wait plus the scan's own service
-        time. Raises nothing: saturation policy (``max_wait``) is the
-        caller's to enforce via :meth:`wait_for_lane`.
-        """
-        lane_free = heapq.heappop(self._free_at)
-        start = max(now, lane_free)
-        wait = start - now
-        heapq.heappush(self._free_at, start + service_time)
-        self.scans += 1
-        self.total_wait += wait
-        return wait + service_time
-
-    def saturated(self, now: float) -> bool:
-        """True when the lane wait exceeds the configured bound."""
-        return self.max_wait is not None and self.wait_for_lane(now) > self.max_wait

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
-from repro.chaos.policies import RetryStats, ResiliencePolicy, call_with_retries
 from repro.errors import (
     HostUnavailableError,
     ShardMappingUnknownError,
@@ -118,48 +117,3 @@ class SMClient:
             was_stale=was_stale,
             forwarded=forwarded,
         )
-
-    def request_with_retries(
-        self,
-        shard_id: int,
-        handler: Callable[[str], T],
-        *,
-        policy: ResiliencePolicy,
-        rng=None,
-        hop_latency: Optional[Callable[[str], float]] = None,
-    ) -> tuple[T, RoutedRequest, RetryStats]:
-        """:meth:`request` under the unified resilience policy.
-
-        Transient routing errors (host down, mapping unknown) consume
-        the policy's retry budget with deterministic backoff, instead of
-        failing the first time a failover is still propagating.
-
-        ``hop_latency(host_id)`` reports the simulated service time of
-        the hop; a hop exceeding the policy's per-hop timeout **counts
-        as a failed attempt** — the same semantics the region
-        coordinator applies — where previously the SM client would wait
-        on a slow host indefinitely. The timed-out response is abandoned
-        and the request re-dispatched, so handlers must be idempotent
-        (reads are).
-        """
-
-        def attempt(_attempt_number: int) -> tuple[T, RoutedRequest]:
-            result, routed = self.request(shard_id, handler)
-            if hop_latency is not None:
-                elapsed = float(hop_latency(routed.served_by))
-                if policy.timeout.is_timeout(elapsed):
-                    raise HostUnavailableError(
-                        f"shard {shard_id}: host {routed.served_by} exceeded "
-                        f"{policy.timeout.per_hop}s per-hop timeout "
-                        f"({elapsed:.3f}s)"
-                    )
-            return result, routed
-
-        (result, routed), stats = call_with_retries(
-            attempt, policy=policy, rng=rng
-        )
-        if hop_latency is not None:
-            stats.timeouts = sum(
-                1 for e in stats.errors if "per-hop timeout" in e
-            )
-        return result, routed, stats

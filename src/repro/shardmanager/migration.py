@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.chaos.policies import ResiliencePolicy, call_with_retries
-from repro.errors import MigrationError, RetryableShardError
+from repro.errors import MigrationError
 from repro.obs import Observability
 from repro.shardmanager.app_server import ApplicationServer
 from repro.sim.engine import Simulator
@@ -52,15 +51,10 @@ class MigrationEngine:
         discovery: ServiceDiscovery,
         *,
         drop_grace_period: Optional[float] = None,
-        policy: Optional[ResiliencePolicy] = None,
         obs: Optional[Observability] = None,
     ):
         self._simulator = simulator
         self._discovery = discovery
-        # Governs retries of *transient* shard errors during data copy.
-        # Non-retryable refusals (collisions) always propagate so the
-        # caller can pick a different target. Legacy = one attempt.
-        self.policy = policy if policy is not None else ResiliencePolicy.legacy()
         self.obs = obs if obs is not None else Observability()
         # Cubrick waits out SMC's usual propagation delay before deleting
         # data on the old server (paper §IV-E).
@@ -101,11 +95,7 @@ class MigrationEngine:
             shard=shard_id, reason=reason,
         ) as span:
             span.annotate(from_host=source.host_id, to_host=target.host_id)
-            call_with_retries(
-                lambda __a: target.prepare_add_shard(shard_id, source),
-                policy=self.policy,
-                retryable=(RetryableShardError,),
-            )
+            target.prepare_add_shard(shard_id, source)
             source.prepare_drop_shard(shard_id, target)
             target.commit_add_shard(shard_id)
             self._discovery.publish(shard_id, target.host_id, self._simulator.now)
@@ -154,11 +144,7 @@ class MigrationEngine:
                     recovery_source.host_id if recovery_source is not None else None
                 ),
             )
-            call_with_retries(
-                lambda __a: target.add_shard(shard_id, recovery_source),
-                policy=self.policy,
-                retryable=(RetryableShardError,),
-            )
+            target.add_shard(shard_id, recovery_source)
             if publish:
                 self._discovery.publish(
                     shard_id, target.host_id, self._simulator.now

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.chaos.policies import ResiliencePolicy
 from repro.cluster.topology import Cluster
 from repro.errors import (
     CapacityExceededError,
@@ -34,6 +33,11 @@ from repro.shardmanager.placement import PlacementPolicy
 from repro.shardmanager.spec import ReplicationModel, ServiceSpec
 from repro.sim.engine import Simulator
 from repro.smc.registry import ServiceDiscovery
+
+
+#: Targets tried for one failover or live migration before SM gives up
+#: (a refusing target is excluded and the next best host is chosen).
+PLACEMENT_ATTEMPTS = 5
 
 
 class ReplicaRole(enum.Enum):
@@ -89,13 +93,9 @@ class SMServer:
         recovery_provider: Optional[
             Callable[[int], Optional[ApplicationServer]]
         ] = None,
-        policy: Optional[ResiliencePolicy] = None,
         obs: Optional[Observability] = None,
     ):
         self.spec = spec
-        # Placement/failover retry budget. The legacy default derives the
-        # historical five attempts from the context default below.
-        self.policy = policy if policy is not None else ResiliencePolicy.legacy()
         self.simulator = simulator
         self.cluster = cluster
         self.region = region
@@ -531,11 +531,10 @@ class SMServer:
             return False
         target_id = proposal.to_host
         attempts = 0
-        budget = self.policy.retry.budget(default=5)
         # Hosts skipped only for this move (e.g. still holding the shard
         # inside a graceful-drop grace window) — not sticky refusals.
         transient_excluded: set[str] = set()
-        while attempts < budget:
+        while attempts < PLACEMENT_ATTEMPTS:
             attempts += 1
             target = self._app_servers.get(target_id)
             if target is None:
@@ -696,7 +695,7 @@ class SMServer:
             failed_replica.role is ReplicaRole.PRIMARY or len(entry.replicas) == 1
         )
         transient_excluded: set[str] = set()
-        for __ in range(self.policy.retry.budget(default=5)):
+        for __ in range(PLACEMENT_ATTEMPTS):
             try:
                 decision = self.placement.choose_host(
                     shard_id,

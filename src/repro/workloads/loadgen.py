@@ -287,7 +287,7 @@ class OverloadReport:
 def overload_policy(name: str) -> SchedPolicy:
     """The experiment's named policies: ``managed`` or ``legacy``."""
     if name == "managed":
-        return SchedPolicy.managed(
+        return SchedPolicy(
             slots_per_node=1,
             max_queue_depth=8,
             deadline=SLA_DEADLINE,

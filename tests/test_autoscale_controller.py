@@ -17,6 +17,7 @@ from repro.core.wall import scalability_wall
 from repro.cubrick.proxy import QueryLogEntry
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.errors import ConfigurationError
+from repro.sched import WorkloadManager
 
 
 def build_deployment(seed=0, *, regions=1, racks=2, hosts_per_rack=3,
@@ -59,6 +60,17 @@ def log_queries(deployment, *, succeeded, failed):
         log.append(QueryLogEntry(now, "events", True, 1))
     for __ in range(failed):
         log.append(QueryLogEntry(now, "events", False, 1))
+
+
+def test_success_window_reads_a_bounded_query_log():
+    deployment = build_deployment()
+    controller = build_controller(deployment)
+    WorkloadManager(deployment).retain_recent(150)
+    log_queries(deployment, succeeded=90, failed=10)
+    log_queries(deployment, succeeded=100, failed=0)
+    # 200 entries logged, the last 150 kept: 40 + 100 ok, 10 failed.
+    assert len(deployment.proxy.query_log) == 150
+    assert controller.windowed_success_ratio() == pytest.approx(140 / 150)
 
 
 class TestFanoutCap:

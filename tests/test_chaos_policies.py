@@ -6,21 +6,13 @@ import numpy as np
 import pytest
 
 from repro.chaos.policies import (
-    TRANSIENT_ERRORS,
     DegradationPolicy,
     HedgePolicy,
     ResiliencePolicy,
     RetryPolicy,
     TimeoutPolicy,
-    call_with_retries,
 )
-from repro.errors import (
-    ConfigurationError,
-    HostUnavailableError,
-    NonRetryableShardError,
-    QueryFailedError,
-    RetryableShardError,
-)
+from repro.errors import ConfigurationError
 
 
 class TestRetryPolicy:
@@ -122,106 +114,3 @@ class TestResiliencePolicyBundles:
         assert policy.hedge.enabled
         assert policy.degradation.enabled
         assert policy.degradation.min_completeness == 0.25
-
-
-class TestCallWithRetries:
-    def test_first_try_success(self):
-        result, stats = call_with_retries(
-            lambda attempt: attempt * 10,
-            policy=ResiliencePolicy.resilient(),
-        )
-        assert result == 10
-        assert stats.attempts == 1
-        assert stats.errors == []
-
-    def test_retries_transient_until_success(self):
-        calls = []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise HostUnavailableError("transient")
-            return "done"
-
-        result, stats = call_with_retries(
-            flaky, policy=ResiliencePolicy.resilient()
-        )
-        assert result == "done"
-        assert calls == [1, 2, 3]
-        assert stats.attempts == 3
-        assert len(stats.errors) == 2
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def poisoned(attempt):
-            calls.append(attempt)
-            raise NonRetryableShardError("collision")
-
-        with pytest.raises(NonRetryableShardError):
-            call_with_retries(poisoned, policy=ResiliencePolicy.resilient())
-        assert calls == [1]
-
-    def test_budget_exhaustion_reraises_last_error(self):
-        def always_fails(attempt):
-            raise RetryableShardError(f"attempt {attempt}")
-
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
-        with pytest.raises(RetryableShardError, match="attempt 3"):
-            call_with_retries(always_fails, policy=policy)
-
-    def test_query_failed_error_respects_retryable_flag(self):
-        def fails(attempt):
-            raise QueryFailedError("nope", retryable=False)
-
-        with pytest.raises(QueryFailedError):
-            call_with_retries(
-                fails,
-                policy=ResiliencePolicy.resilient(),
-                retryable=TRANSIENT_ERRORS + (QueryFailedError,),
-            )
-
-    def test_predicate_retryable(self):
-        calls = []
-
-        def fails(attempt):
-            calls.append(attempt)
-            raise ValueError("custom")
-
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=2))
-        with pytest.raises(ValueError):
-            call_with_retries(
-                fails, policy=policy,
-                retryable=lambda e: isinstance(e, ValueError),
-            )
-        assert calls == [1, 2]
-
-    def test_on_retry_receives_backoff_delays(self):
-        observed = []
-
-        def flaky(attempt):
-            if attempt < 3:
-                raise HostUnavailableError("x")
-            return attempt
-
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=5, base_backoff=0.1,
-                              backoff_multiplier=2.0, jitter_fraction=0.0)
-        )
-        __, stats = call_with_retries(
-            flaky, policy=policy,
-            on_retry=lambda attempt, delay: observed.append((attempt, delay)),
-        )
-        assert observed == [(1, pytest.approx(0.1)), (2, pytest.approx(0.2))]
-        assert stats.backoff_total == pytest.approx(0.3)
-
-    def test_legacy_policy_is_single_attempt_by_default(self):
-        calls = []
-
-        def fails(attempt):
-            calls.append(attempt)
-            raise HostUnavailableError("x")
-
-        with pytest.raises(HostUnavailableError):
-            call_with_retries(fails, policy=ResiliencePolicy.legacy())
-        assert calls == [1]

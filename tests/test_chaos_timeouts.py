@@ -1,22 +1,19 @@
-"""Regression tests: unified per-hop timeout semantics.
+"""Regression tests: per-hop timeout semantics.
 
-Historically the region coordinator counted a timed-out hop as a failed
-attempt while the SM client kept waiting on slow hosts indefinitely.
-Both now route the decision through ``TimeoutPolicy.is_timeout`` so a
-hop that exceeds the bound consumes retry budget identically in both
-layers.
+The region coordinator routes the decision through the query's
+``TimeoutPolicy.is_timeout``: a hop that exceeds the bound counts as a
+failed attempt and consumes the proxy's retry budget like a crash.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.chaos.faults import ChaosInjector, FaultSchedule
 from repro.chaos.policies import ResiliencePolicy, RetryPolicy, TimeoutPolicy
 from repro.chaos.scenarios import build_chaos_deployment
 from repro.cubrick.query import AggFunc, Aggregation, Query
-from repro.errors import HostUnavailableError, QueryFailedError
+from repro.errors import QueryFailedError
 
 
 @pytest.fixture
@@ -64,71 +61,6 @@ def test_coordinator_timeout_skipped_in_partial_mode(settled):
         _sum_query(), allow_partial=True, policy=policy
     )
     assert result.metadata["coverage"] < 1.0
-
-
-def test_sm_client_counts_timed_out_hop_as_failed(settled):
-    deployment, __ = settled
-    from repro.shardmanager.client import SMClient
-
-    sm = deployment.sm_servers["region0"]
-    client = SMClient(sm)
-    shard_id = sorted(sm.shard_ids())[0]
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=3, base_backoff=0.0,
-                          jitter_fraction=0.0),
-        timeout=TimeoutPolicy(per_hop=2.0),
-    )
-    # Every hop reports a latency above the bound: all three attempts
-    # must be consumed, then the timeout error surfaces.
-    with pytest.raises(HostUnavailableError, match="per-hop timeout"):
-        client.request_with_retries(
-            shard_id,
-            lambda node: "ok",
-            policy=policy,
-            hop_latency=lambda host: 5.0,
-        )
-
-
-def test_sm_client_timeout_stats_count_each_slow_hop(settled):
-    deployment, __ = settled
-    from repro.shardmanager.client import SMClient
-
-    sm = deployment.sm_servers["region0"]
-    client = SMClient(sm)
-    shard_id = sorted(sm.shard_ids())[0]
-    latencies = iter([5.0, 5.0, 0.01])
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=3, base_backoff=0.0,
-                          jitter_fraction=0.0),
-        timeout=TimeoutPolicy(per_hop=2.0),
-    )
-    result, routed, stats = client.request_with_retries(
-        shard_id,
-        lambda node: "ok",
-        policy=policy,
-        hop_latency=lambda host: next(latencies),
-    )
-    assert result == "ok"
-    assert stats.attempts == 3
-    assert stats.timeouts == 2
-
-
-def test_sm_client_fast_hop_never_times_out(settled):
-    deployment, __ = settled
-    from repro.shardmanager.client import SMClient
-
-    sm = deployment.sm_servers["region0"]
-    client = SMClient(sm)
-    shard_id = sorted(sm.shard_ids())[0]
-    result, routed, stats = client.request_with_retries(
-        shard_id,
-        lambda node: "ok",
-        policy=ResiliencePolicy.resilient(),
-        hop_latency=lambda host: 0.01,
-    )
-    assert result == "ok"
-    assert stats.attempts == 1
-    assert stats.timeouts == 0
 
 
 def test_both_layers_share_the_same_timeout_predicate(settled):

@@ -8,9 +8,13 @@
   in well under a second instead of in the minutes-long smoke run. SQL
   compilation must also keep calling them where the ledger's per-call
   arithmetic expects.
+* No dead settings: every field of ``DeploymentConfig`` and
+  ``SchedPolicy`` is set by some caller in ``src/``, ``benchmarks/`` or
+  ``examples/``. A field only its default ever uses is a constant.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -86,6 +90,90 @@ def test_wall_clock_walk_catches_both_spellings(tmp_path):
     assert _banned_calls(sample, banned) == [
         (2, "time.perf_counter"), (3, "time.monotonic"), (5, "time.time")
     ]
+
+
+#: Calls whose keyword arguments set a config field.
+SETTING_CALLS = {"DeploymentConfig", "SchedPolicy", "SchedPolicy.legacy",
+                 "serve_policy"}
+#: Builders whose own ``dict(...)`` of field values counts as setting.
+SETTING_BUILDERS = {"SchedPolicy.legacy", "serve_policy"}
+
+
+def _dotted(node: ast.AST) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return ""
+
+
+def _keywords(call: ast.Call) -> set[str]:
+    return {keyword.arg for keyword in call.keywords if keyword.arg}
+
+
+def _set_fields(paths) -> set[str]:
+    """Keyword names passed to :data:`SETTING_CALLS`, plus those of the
+    ``dict(...)`` each of :data:`SETTING_BUILDERS` builds."""
+    found: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        functions[f"{node.name}.{method.name}"] = method
+        for name in SETTING_BUILDERS & functions.keys():
+            for call in ast.walk(functions[name]):
+                if isinstance(call, ast.Call) and _dotted(call.func) == "dict":
+                    found.update(_keywords(call))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _dotted(call.func) in SETTING_CALLS:
+                found.update(_keywords(call))
+    return found
+
+
+def test_every_config_field_is_set_somewhere():
+    from repro.core.deployment import DeploymentConfig
+    from repro.sched.manager import SchedPolicy
+
+    paths = [
+        path
+        for directory in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+    set_fields = _set_fields(paths)
+    unset = [
+        f"{config.__name__}.{field.name}"
+        for config in (DeploymentConfig, SchedPolicy)
+        for field in dataclasses.fields(config)
+        if field.name not in set_fields
+    ]
+    assert not unset, "fields no caller sets (make them constants): " + (
+        ", ".join(unset)
+    )
+
+
+def test_setting_walk_flags_a_field_nothing_sets(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class SchedPolicy:\n"
+        "    def legacy(cls, **overrides):\n"
+        "        return cls(**dict(global_rate=None))\n"
+        "def serve_policy(**overrides):\n"
+        "    return dict(deadline=2.0)\n"
+        "def unrelated():\n"
+        "    return dict(ghost_knob=1)\n"
+        "config = DeploymentConfig(seed=1)\n"
+        "policy = SchedPolicy.legacy(cache_capacity=0)\n"
+        "other = Other(ghost_knob=2)\n",
+        encoding="utf-8",
+    )
+    assert _set_fields([sample]) == {
+        "global_rate", "deadline", "seed", "cache_capacity"
+    }
 
 
 def _tracing():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cubrick.proxy import AdmissionController
 from repro.errors import ConfigurationError
 from repro.obs import Observability
 from repro.sched.admission import (
@@ -13,7 +12,7 @@ from repro.sched.admission import (
     REASON_SHED,
     REASON_TENANT_QUOTA,
     AdaptiveShedder,
-    AdmissionControllerV2,
+    AdmissionController,
     SlidingWindowAdmission,
     TokenBucket,
 )
@@ -21,7 +20,7 @@ from repro.sched.queue import PriorityClass
 
 
 # ----------------------------------------------------------------------
-# Sliding window (and the proxy compat shim)
+# Sliding window
 # ----------------------------------------------------------------------
 
 
@@ -58,15 +57,6 @@ def test_fast_path_regression_arrivals_recorded_without_limit():
     # The window already holds 10 recent arrivals — well over the new
     # limit — so the very next arrival is rejected.
     assert not admission.admit(0.5)
-
-
-def test_proxy_admission_controller_shim_shares_the_fix():
-    controller = AdmissionController()
-    assert isinstance(controller, SlidingWindowAdmission)
-    for i in range(10):
-        assert controller.admit(i * 0.05)
-    controller.max_qps = 5.0
-    assert not controller.admit(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +158,12 @@ def test_shedder_validation():
 
 
 # ----------------------------------------------------------------------
-# AdmissionControllerV2
+# AdmissionController
 # ----------------------------------------------------------------------
 
 
 def test_v2_global_bucket_rejects_with_quota_reason():
-    controller = AdmissionControllerV2(global_rate=1.0, global_burst=2.0)
+    controller = AdmissionController(global_rate=1.0, global_burst=2.0)
     assert controller.decide(0.0).reason == REASON_OK
     assert controller.decide(0.0).reason == REASON_OK
     decision = controller.decide(0.0)
@@ -182,7 +172,7 @@ def test_v2_global_bucket_rejects_with_quota_reason():
 
 
 def test_v2_tenant_buckets_isolate_tenants():
-    controller = AdmissionControllerV2(default_tenant_rate=1.0)
+    controller = AdmissionController(default_tenant_rate=1.0)
     assert controller.decide(0.0, tenant="a").admitted
     rejected = controller.decide(0.0, tenant="a")
     assert rejected.reason == REASON_TENANT_QUOTA
@@ -191,7 +181,7 @@ def test_v2_tenant_buckets_isolate_tenants():
 
 
 def test_v2_rejection_never_burns_global_tokens():
-    controller = AdmissionControllerV2(
+    controller = AdmissionController(
         global_rate=10.0, global_burst=5.0, default_tenant_rate=1.0
     )
     assert controller.decide(0.0, tenant="a").admitted  # burns both tokens
@@ -207,7 +197,7 @@ def test_v2_shed_check_runs_first():
     shedder = AdaptiveShedder(obs.metrics, min_samples=1)
     shedder.level = 1.0
     shedder._last_update = 0.0
-    controller = AdmissionControllerV2(global_rate=100.0, shedder=shedder)
+    controller = AdmissionController(global_rate=100.0, shedder=shedder)
     decision = controller.decide(0.0, priority=PriorityClass.BACKGROUND)
     assert decision.reason == REASON_SHED
     # INTERACTIVE passes the shedder and the bucket.
@@ -215,7 +205,7 @@ def test_v2_shed_check_runs_first():
 
 
 def test_v2_explicit_tenant_rate_overrides_default():
-    controller = AdmissionControllerV2(
+    controller = AdmissionController(
         tenant_rates={"vip": 100.0}, default_tenant_rate=1.0
     )
     for __ in range(10):
@@ -226,6 +216,6 @@ def test_v2_explicit_tenant_rate_overrides_default():
 
 
 def test_v2_no_config_admits_everything():
-    controller = AdmissionControllerV2()
+    controller = AdmissionController()
     for i in range(100):
         assert controller.decide(float(i)).admitted

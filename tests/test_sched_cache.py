@@ -110,11 +110,10 @@ def test_plan_key_is_structural():
 @pytest.fixture
 def cached_deployment(events_schema):
     deployment = CubrickDeployment(
-        DeploymentConfig(
-            seed=11, regions=2, racks_per_region=2, hosts_per_rack=3,
-            result_cache_capacity=32,
-        )
+        DeploymentConfig(seed=11, regions=2, racks_per_region=2, hosts_per_rack=3)
     )
+    # Installed the way WorkloadManager installs it.
+    deployment.proxy.result_cache = QueryResultCache(32)
     deployment.create_table(events_schema, num_partitions=4)
     deployment.load("events", make_rows(events_schema, 400, seed=3))
     deployment.simulator.run_until(30.0)

@@ -28,7 +28,7 @@ def make_query(metric="clicks"):
 
 
 def test_managed_submit_resolves_with_sla_accounting(deployment):
-    manager = WorkloadManager(deployment, policy=SchedPolicy.managed())
+    manager = WorkloadManager(deployment, policy=SchedPolicy())
     record = manager.submit(make_query(), tenant="acme")
     assert record.outcome == "pending"
     assert manager.outstanding() == 1
@@ -43,7 +43,7 @@ def test_managed_submit_resolves_with_sla_accounting(deployment):
 
 
 def test_repeat_queries_hit_the_cache_and_skip_the_queue(deployment):
-    manager = WorkloadManager(deployment, policy=SchedPolicy.managed())
+    manager = WorkloadManager(deployment, policy=SchedPolicy())
     first = manager.submit(make_query(), tenant="acme")
     manager.drain()
     done = []
@@ -60,7 +60,7 @@ def test_repeat_queries_hit_the_cache_and_skip_the_queue(deployment):
 
 def test_round_robin_spreads_jobs_across_region_queues(deployment):
     manager = WorkloadManager(
-        deployment, policy=SchedPolicy.managed(cache_capacity=0)
+        deployment, policy=SchedPolicy(cache_capacity=0)
     )
     records = [manager.submit(make_query(), tenant="acme") for __ in range(4)]
     assert manager.drain()
@@ -71,7 +71,7 @@ def test_round_robin_spreads_jobs_across_region_queues(deployment):
 def test_quota_rejections_count_and_emit_events(deployment):
     manager = WorkloadManager(
         deployment,
-        policy=SchedPolicy.managed(
+        policy=SchedPolicy(
             global_rate=1.0, adaptive_shedding=False, cache_capacity=0
         ),
     )
@@ -98,7 +98,7 @@ def test_quota_rejections_count_and_emit_events(deployment):
 def test_tenant_quota_isolates_tenants(deployment):
     manager = WorkloadManager(
         deployment,
-        policy=SchedPolicy.managed(
+        policy=SchedPolicy(
             tenant_rate=1.0, adaptive_shedding=False, cache_capacity=0
         ),
     )
@@ -111,7 +111,7 @@ def test_tenant_quota_isolates_tenants(deployment):
 def test_queue_full_overflow_is_counted(deployment):
     manager = WorkloadManager(
         deployment,
-        policy=SchedPolicy.managed(
+        policy=SchedPolicy(
             slots_per_node=1,
             max_queue_depth=1,
             adaptive_shedding=False,
@@ -147,7 +147,7 @@ def test_legacy_policy_admits_everything_and_queues_forever(deployment):
 def test_background_priority_waits_behind_interactive(deployment):
     manager = WorkloadManager(
         deployment,
-        policy=SchedPolicy.managed(
+        policy=SchedPolicy(
             slots_per_node=1, adaptive_shedding=False, cache_capacity=0,
             deadline=60.0,
         ),
@@ -178,3 +178,37 @@ def test_drain_gives_up_at_the_horizon(deployment):
     with pytest.raises(ConfigurationError):
         manager.drain(step=0.0)
     assert manager.drain()
+
+
+def test_retain_recent_bounds_every_per_query_log(deployment):
+    manager = WorkloadManager(deployment, policy=SchedPolicy(cache_capacity=0))
+    manager.retain_recent(8)
+    for __ in range(40):
+        manager.submit(make_query(), tenant="acme")
+        assert manager.drain()
+    assert len(manager.records) == 8
+    assert len(deployment.proxy.query_log) == 8
+    coordinators = deployment.coordinators.values()
+    assert max(len(c.executions) for c in coordinators) == 8
+    assert all(c.success_ratio() == 1.0 for c in coordinators)
+    assert deployment.proxy.success_ratio() == 1.0
+    assert deployment.proxy.first_try_success_ratio() == 1.0
+
+
+@pytest.mark.parametrize("cache_capacity", [0, 256])
+def test_unknown_table_fails_the_same_with_or_without_cache(
+    deployment, cache_capacity
+):
+    manager = WorkloadManager(
+        deployment, policy=SchedPolicy(cache_capacity=cache_capacity)
+    )
+    done = []
+    record = manager.submit(
+        Query.build("ghosts", [Aggregation(AggFunc.SUM, "clicks")]),
+        on_done=done.append,
+    )
+    assert manager.drain()
+    assert record.outcome == "failed"
+    assert record.error.startswith("TableNotFoundError")
+    assert done == [record]
+    assert manager.outstanding() == 0

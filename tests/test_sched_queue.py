@@ -1,4 +1,4 @@
-"""ExecutorQueue and NodeSlots: slots, EDF dispatch, bounded depth."""
+"""ExecutorQueue: slots, EDF dispatch, bounded depth."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.sched.queue import (
     OUTCOME_OK,
     OUTCOME_QUEUE_FULL,
     ExecutorQueue,
-    NodeSlots,
     PriorityClass,
     ScheduledJob,
 )
@@ -213,29 +212,3 @@ def test_queue_validation():
         ExecutorQueue(simulator, slots=0)
     with pytest.raises(ConfigurationError):
         ExecutorQueue(simulator, slots=1, max_depth=-1)
-
-
-def test_node_slots_shape_waits_across_arrivals():
-    slots = NodeSlots(2)
-    # Two lanes free: both scans start instantly.
-    assert slots.occupy(0.0, 1.0) == pytest.approx(1.0)
-    assert slots.occupy(0.0, 2.0) == pytest.approx(2.0)
-    # Third scan at t=0 waits for the earliest lane (free at t=1).
-    assert slots.wait_for_lane(0.0) == pytest.approx(1.0)
-    assert slots.occupy(0.0, 1.0) == pytest.approx(2.0)  # 1s wait + 1s service
-    # A late arrival finds a lane free and pays no wait.
-    assert slots.occupy(5.0, 1.0) == pytest.approx(1.0)
-    assert slots.scans == 4
-    assert slots.total_wait == pytest.approx(1.0)
-
-
-def test_node_slots_saturation_flag():
-    slots = NodeSlots(1, max_wait=0.5)
-    assert not slots.saturated(0.0)
-    slots.occupy(0.0, 2.0)
-    assert slots.saturated(0.0)
-    assert not slots.saturated(1.6)
-    with pytest.raises(ConfigurationError):
-        NodeSlots(0)
-    with pytest.raises(ConfigurationError):
-        NodeSlots(1, max_wait=-1.0)
