@@ -122,9 +122,6 @@ class Cluster:
     def host_ids(self) -> list[str]:
         return list(self._hosts)
 
-    def regions(self) -> list[Region]:
-        return list(self._regions.values())
-
     def region(self, name: str) -> Region:
         try:
             return self._regions[name]

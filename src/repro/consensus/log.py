@@ -28,9 +28,6 @@ class LogEntry:
     term: int
     command: tuple
 
-    def render(self) -> str:
-        return f"[{self.index}@t{self.term}] {self.command!r}"
-
 
 class RaftLog:
     """An append-only command log with snapshot-based compaction."""

@@ -126,7 +126,7 @@ class SsdExporter(MetricExporter):
         )
 
 
-class IopsAwareExporter(MetricExporter):
+class IopsAwareExporter(SsdExporter):
     """Generation 3 + the paper's proposed IOPS refinement (§IV-F3).
 
     The plain SSD metric ignores working sets: a host whose shards'
@@ -138,8 +138,6 @@ class IopsAwareExporter(MetricExporter):
     IO-hot shards look bigger and the balancer spreads them out.
     """
 
-    generation = LoadBalanceGeneration.GEN3_SSD
-
     def __init__(self, io_cost_bytes: float = 16 * 1024 * 1024,
                  smoothing_alpha: float = 0.3):
         if io_cost_bytes < 0:
@@ -149,13 +147,8 @@ class IopsAwareExporter(MetricExporter):
         self._last_reads: dict[int, int] = {}
         self._smoothed: dict[int, MovingAverage] = {}
 
-    def capacity(self, node: "CubrickNode") -> float:
-        return float(node.ssd_bytes)
-
     def shard_size(self, node: "CubrickNode", shard_id: int) -> float:
-        spillable = float(
-            sum(p.decompressed_bytes() for p in node.partitions_of_shard(shard_id))
-        )
+        spillable = super().shard_size(node, shard_id)
         reads = sum(
             brick.io_reads
             for partition in node.partitions_of_shard(shard_id)

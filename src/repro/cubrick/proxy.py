@@ -2,7 +2,8 @@
 
 Every query is submitted to a Cubrick proxy, which:
 
-* runs **admission control** (sliding-window QPS limiting);
+* resolves the table, then runs **admission control** (sliding-window
+  QPS limiting);
 * picks the most suitable **region** (availability first, then client
   proximity = configured preference order);
 * **retries** queries that failed with retryable errors (hardware
@@ -26,6 +27,7 @@ from repro.chaos.policies import ResiliencePolicy
 from repro.cubrick.coordinator import RegionCoordinator
 from repro.cubrick.locator import CachedRandom, CoordinatorLocator
 from repro.cubrick.query import Query, QueryResult
+from repro.cubrick.schema import TableInfo
 from repro.errors import (
     AdmissionControlError,
     ConfigurationError,
@@ -35,7 +37,6 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.sched.admission import SlidingWindowAdmission
-from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache
 
 
 @dataclass
@@ -52,8 +53,6 @@ class QueryLogEntry:
     # The answer was accepted through the graceful-degradation path:
     # partial coverage, explicitly labelled (never silently wrong).
     degraded: bool = False
-    # Served from the proxy result cache without touching a region.
-    cached: bool = False
 
 
 class CubrickProxy:
@@ -73,6 +72,8 @@ class CubrickProxy:
         if not coordinators:
             raise ConfigurationError("proxy needs at least one region coordinator")
         self.coordinators = dict(coordinators)
+        # One catalog behind every region's coordinator.
+        self.catalog = next(iter(self.coordinators.values())).catalog
         if home_region is not None and home_region not in coordinators:
             raise ConfigurationError(f"unknown home region: {home_region}")
         self.home_region = home_region
@@ -88,12 +89,8 @@ class CubrickProxy:
             raise ConfigurationError(f"unknown regions in preference: {unknown}")
         self.region_preference = preference
         self.locator = locator if locator is not None else CachedRandom()
-        # Unlimited until a caller sets ``admission.max_qps`` or a
-        # table quota.
+        # Unlimited until a caller sets ``admission.max_qps``.
         self.admission = SlidingWindowAdmission()
-        # Optional proxy-level result cache (repro.sched). Off by
-        # default; installed by the workload manager.
-        self.result_cache: Optional[QueryResultCache] = None
         self.blacklist_ttl = blacklist_ttl
         self._blacklist: dict[str, float] = {}  # host -> expiry time
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -147,66 +144,6 @@ class CubrickProxy:
         return candidates
 
     # ------------------------------------------------------------------
-    # Result cache
-    # ------------------------------------------------------------------
-
-    def _table_versions(self, table: str) -> Optional[tuple[int, int]]:
-        """(generation, ingest_generation) for cache keys; None = unknown."""
-        any_coordinator = next(iter(self.coordinators.values()))
-        try:
-            info = any_coordinator.catalog.get(table)
-        except TableNotFoundError:
-            return None
-        return info.generation, info.ingest_generation
-
-    def _cache_get(self, query: Query) -> Optional[QueryResult]:
-        versions = self._table_versions(query.table)
-        if versions is None:
-            return None
-        hit = self.result_cache.get(
-            query, generation=versions[0], ingest_generation=versions[1]
-        )
-        if hit is None:
-            return None
-        hit.metadata["cached"] = True
-        hit.metadata["latency_total"] = CACHE_HIT_LATENCY
-        self.query_log.append(
-            QueryLogEntry(
-                time=self._now,
-                table=query.table,
-                succeeded=True,
-                attempts=0,
-                latency=CACHE_HIT_LATENCY,
-                cached=True,
-            )
-        )
-        self._outcome_counter("cache_hit").inc()
-        self._latency_histogram.observe(CACHE_HIT_LATENCY)
-        return hit
-
-    def _cache_put(
-        self,
-        query: Query,
-        result: QueryResult,
-        versions: Optional[tuple[int, int]],
-    ) -> None:
-        """Store a fresh answer under the versions read *before* execution.
-
-        ``versions`` must be the (generation, ingest_generation) pair
-        sampled before the query ran. Re-reading the catalog here would
-        race with concurrent loads in the real-time serving tier: a load
-        landing between execution and this store would file a pre-load
-        answer under the post-load key — a stale read served until the
-        next invalidation. Keying by the pre-execution snapshot means a
-        concurrent bump simply makes this entry unreachable.
-        """
-        if versions is None:
-            return
-        self.result_cache.put(
-            query, result, generation=versions[0], ingest_generation=versions[1]
-        )
-
-    # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
 
@@ -218,7 +155,6 @@ class CubrickProxy:
         straggler_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         policy: ResiliencePolicy = ResiliencePolicy.legacy(),
-        cache_lookup: bool = True,
     ) -> QueryResult:
         """Route one query; retry retryable failures across regions.
 
@@ -243,33 +179,15 @@ class CubrickProxy:
         paper's proxy: one attempt per candidate region, no backoff, no
         per-hop timeout, no degradation.
 
-        ``cache_lookup=False`` skips the result-cache *lookup* (for
-        callers like the workload manager that already checked) while
-        still storing the fresh answer for future hits.
-
-        Raises :class:`AdmissionControlError` when over the QPS limit,
+        Raises :class:`TableNotFoundError` for an unknown table (before
+        admission, so it takes no slot of the window),
+        :class:`AdmissionControlError` when over the QPS limit,
         :class:`RegionUnavailableError` when no region can serve, and
         re-raises the last :class:`QueryFailedError` when all regions
         were tried and failed.
         """
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(f"deadline must be positive: {deadline}")
-        # Only full-fidelity answers are cacheable: partial/straggler
-        # modes change result semantics and must always execute.
-        cacheable = (
-            self.result_cache is not None
-            and not allow_partial
-            and straggler_timeout is None
-        )
-        if cacheable and cache_lookup:
-            hit = self._cache_get(query)
-            if hit is not None:
-                return hit
-        # Snapshot the table versions before executing so the store
-        # below cannot be poisoned by a load that lands mid-flight.
-        cache_versions = (
-            self._table_versions(query.table) if cacheable else None
-        )
         # The root span of every query trace. Its duration is the
         # user-visible latency (wasted attempts included); coordinator
         # and per-host scan spans nest beneath it.
@@ -282,6 +200,10 @@ class CubrickProxy:
                     deadline=deadline,
                     policy=policy,
                 )
+            except TableNotFoundError:
+                span.annotate(outcome="table_not_found")
+                self._outcome_counter("table_not_found").inc()
+                raise
             except AdmissionControlError:
                 span.annotate(outcome="admission_rejected")
                 self._outcome_counter("admission_rejected").inc()
@@ -304,8 +226,6 @@ class CubrickProxy:
             )
         self._outcome_counter("ok").inc()
         self._latency_histogram.observe(latency_total)
-        if cacheable:
-            self._cache_put(query, result, cache_versions)
         return result
 
     def _submit(
@@ -318,7 +238,17 @@ class CubrickProxy:
         policy: ResiliencePolicy,
     ) -> QueryResult:
         now = self._now
-        if not self.admission.admit(now, query.table):
+        try:
+            info = self.catalog.get(query.table)
+        except TableNotFoundError:
+            self.query_log.append(
+                QueryLogEntry(
+                    time=now, table=query.table, succeeded=False, attempts=0,
+                    error="table_not_found",
+                )
+            )
+            raise
+        if not self.admission.admit(now):
             entry = QueryLogEntry(
                 time=now, table=query.table, succeeded=False, attempts=0,
                 error="admission_control",
@@ -354,7 +284,6 @@ class CubrickProxy:
             region = regions[(attempt - 1) % len(regions)]
             coordinator = self.coordinators[region]
             attempts += 1
-            info = coordinator.catalog.get(query.table)
             choice = self.locator.choose(
                 query.table, info.num_partitions, self._rng
             )
@@ -456,6 +385,7 @@ class CubrickProxy:
         ):
             degraded = self._degraded_submit(
                 query,
+                info,
                 regions,
                 policy,
                 now=now,
@@ -486,6 +416,7 @@ class CubrickProxy:
     def _degraded_submit(
         self,
         query: Query,
+        info: TableInfo,
         regions: list[str],
         policy: ResiliencePolicy,
         *,
@@ -507,7 +438,6 @@ class CubrickProxy:
         for region in regions:
             coordinator = self.coordinators[region]
             attempts += 1
-            info = coordinator.catalog.get(query.table)
             choice = self.locator.choose(
                 query.table, info.num_partitions, self._rng
             )

@@ -36,43 +36,22 @@ REASON_SHED = "shed"
 
 @dataclass
 class SlidingWindowAdmission:
-    """Sliding-window QPS limiter, global plus per-table quotas.
-
-    Per-table quotas are the multi-tenant fairness lever: the paper
-    notes multi-tenant systems must keep single users or tables from
-    monopolising cluster capacity (§II-C); table-level rate limits are
-    the query-side counterpart of the table-size limits it describes.
-    """
+    """Sliding-window global QPS limiter (the proxy's, paper §IV-D)."""
 
     max_qps: float = float("inf")
     window: float = 1.0
-    table_qps: dict = field(default_factory=dict)
     _recent: deque = field(default_factory=deque)
-    _recent_per_table: dict = field(default_factory=dict)
 
-    def set_table_quota(self, table: str, max_qps: float) -> None:
-        if max_qps <= 0:
-            raise ValueError(f"table quota must be positive: {max_qps}")
-        self.table_qps[table] = max_qps
-
-    def admit(self, now: float, table: Optional[str] = None) -> bool:
+    def admit(self, now: float) -> bool:
         # Admitted queries are recorded unconditionally — even while no
         # limit is configured. The old fast path returned early when
-        # ``max_qps`` was infinite and the table had no quota, so
-        # tightening the global limit mid-run started from an *empty*
-        # window and over-admitted a full window's worth of traffic.
+        # ``max_qps`` was infinite, so tightening the limit mid-run
+        # started from an *empty* window and over-admitted a full
+        # window's worth of traffic.
         while self._recent and now - self._recent[0] >= self.window:
             self._recent.popleft()
         if len(self._recent) >= self.max_qps * self.window:
             return False
-        quota = self.table_qps.get(table) if table is not None else None
-        if quota is not None:
-            recent = self._recent_per_table.setdefault(table, deque())
-            while recent and now - recent[0] >= self.window:
-                recent.popleft()
-            if len(recent) >= quota * self.window:
-                return False
-            recent.append(now)
         self._recent.append(now)
         return True
 

@@ -1,15 +1,18 @@
 """Query result cache keyed by normalised plan + ingestion generation.
 
 Dashboard workloads repeat: the same handful of queries per tenant run
-over and over, and serving a repeat from the proxy without touching the
-cluster is the cheapest capacity there is. Correctness is by *versioned
-keys*, not explicit invalidation: a cache key includes the table's
-partitioning generation (bumped by re-partitions) and its ingestion
-generation (bumped by every load and by every streaming-loader flush),
-so any write makes all previously cached answers for the table
-unreachable — they age out of the LRU ring. An explicit
-:meth:`QueryResultCache.invalidate_table` is provided for operators who
-want the memory back immediately.
+over and over, and serving a repeat from the workload manager without
+touching the cluster is the cheapest capacity there is. The manager is
+the cache's one owner: it looks an answer up before admission and
+stores a fresh one after the proxy returns it.
+
+Correctness is by *versioned keys*, not explicit invalidation: a cache
+key includes the table's partitioning generation (bumped by
+re-partitions) and its ingestion generation (bumped by every load and
+by every streaming-loader flush), so any write makes all previously
+cached answers for the table unreachable — they age out of the LRU
+ring. An explicit :meth:`QueryResultCache.invalidate_table` is provided
+for operators who want the memory back immediately.
 
 The normalised plan is the canonical SQL rendering from
 :mod:`repro.cubrick.sql` — two structurally identical queries built
@@ -33,7 +36,7 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cubrick.query import Query, QueryResult
 
-#: Modelled latency of answering from the proxy-local cache (seconds).
+#: Modelled latency of answering from the result cache (seconds).
 CACHE_HIT_LATENCY = 0.0002
 
 
@@ -104,24 +107,6 @@ class QueryResultCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
-
-    def get(
-        self,
-        query: "Query",
-        *,
-        generation: int,
-        ingest_generation: int,
-    ) -> Optional["QueryResult"]:
-        """Cached result for this plan at these versions, or None.
-
-        Returns an independent copy: callers mutate result metadata
-        (latency accounting, attempt counts) and must never corrupt the
-        cached snapshot.
-        """
-        entry = self.lookup(
-            query, generation=generation, ingest_generation=ingest_generation
-        )
-        return None if entry is None else self._copy(entry.result)
 
     def put(
         self,

@@ -9,6 +9,10 @@ Ties the subsystem together for one deployment::
                                                                         │
                                                                         ▼
                                                                CubrickProxy.submit
+                                                                        │
+                                                                        ▼
+                                                     result cache (store, keyed by the
+                                                     versions read before it ran)
 
 Every submitted query produces exactly one :class:`JobRecord` whose
 outcome is one of ``ok | failed | cache_hit | shed | quota |
@@ -161,15 +165,11 @@ class WorkloadManager:
             )
         else:
             self.admission = None
+        #: The result cache: the manager is its one owner (lookup in
+        #: :meth:`submit`, store in :meth:`_execute`).
         self.cache: Optional[QueryResultCache] = None
         if self.policy.cache_capacity > 0:
-            # Install the proxy-level result cache (shared: direct
-            # proxy.submit callers benefit too); reuse one if present.
-            if deployment.proxy.result_cache is None:
-                deployment.proxy.result_cache = QueryResultCache(
-                    self.policy.cache_capacity
-                )
-            self.cache = deployment.proxy.result_cache
+            self.cache = QueryResultCache(self.policy.cache_capacity)
         #: Every record, in submission order — unless a long-running
         #: caller bounded it with :meth:`retain_recent`.
         self.records: "list[JobRecord] | deque[JobRecord]" = []
@@ -257,27 +257,27 @@ class WorkloadManager:
             try:
                 info = self.deployment.catalog.get(query.table)
             except TableNotFoundError:
-                # A miss: the queued job fails and resolves the record,
-                # exactly as without a cache.
-                entry = None
+                # Not a lookup: the queued job fails and resolves the
+                # record, exactly as without a cache.
+                pass
             else:
                 entry = self.cache.lookup(
                     query,
                     generation=info.generation,
                     ingest_generation=info.ingest_generation,
                 )
-            if entry is not None:
-                record.outcome = "cache_hit"
-                record.cache_entry = entry
-                record.result = entry.result
-                record.latency = CACHE_HIT_LATENCY
-                record.sla_ok = True
-                self._sla_ok.inc()
-                self._cache_hit.inc()
-                if on_done is not None:
-                    on_done(record)
-                return record
-            self._cache_miss.inc()
+                if entry is not None:
+                    record.outcome = "cache_hit"
+                    record.cache_entry = entry
+                    record.result = entry.result
+                    record.latency = CACHE_HIT_LATENCY
+                    record.sla_ok = True
+                    self._sla_ok.inc()
+                    self._cache_hit.inc()
+                    if on_done is not None:
+                        on_done(record)
+                    return record
+                self._cache_miss.inc()
 
         if self.admission is not None:
             decision = self.admission.decide(now, tenant=tenant, priority=priority)
@@ -313,8 +313,10 @@ class WorkloadManager:
     def _execute(self, query: "Query", record: JobRecord) -> float:
         """Run one query through the proxy; returns its total latency.
 
-        The manager already consulted the cache, so lookup is skipped;
-        the proxy still *stores* the fresh answer for future hits.
+        The fresh answer is stored in the cache under the table versions
+        read just before the proxy ran it: a load landing mid-flight
+        then makes the entry unreachable instead of filing pre-load rows
+        under the post-load key.
 
         A managed query's trace is rooted here: the root span is
         backdated to the job's arrival with an explicit queue-wait child
@@ -338,13 +340,26 @@ class WorkloadManager:
             with self.obs.tracer.span("repro.sched.admission") as adm_span:
                 adm_span.set_duration(0.0)
                 adm_span.annotate(reason=REASON_OK)
+            versions = None
+            if self.cache is not None:
+                try:
+                    info = self.deployment.catalog.get(query.table)
+                except TableNotFoundError:
+                    pass  # the proxy's to log and raise
+                else:
+                    versions = (info.generation, info.ingest_generation)
             try:
-                result = self.deployment.proxy.submit(query, cache_lookup=False)
+                result = self.deployment.proxy.submit(query)
             except Exception as exc:
                 root.set_duration(queue_wait)
                 root.annotate(outcome="failed", error=str(exc))
                 raise
             record.result = result
+            if versions is not None:
+                self.cache.put(
+                    query, result,
+                    generation=versions[0], ingest_generation=versions[1],
+                )
             latency = float(result.metadata.get("latency_total", 0.0))
             root.set_duration(queue_wait + latency)
             root.annotate(outcome="ok", queue_wait=queue_wait)

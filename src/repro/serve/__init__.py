@@ -24,7 +24,7 @@ from repro.serve.deploy import (
     build_serving_deployment,
     serve_policy,
 )
-from repro.serve.gateway import GatewayStats, ServeGateway, query_from_spec
+from repro.serve.gateway import GatewayStats, ServeGateway
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
@@ -50,7 +50,6 @@ __all__ = [
     "ServingDeployment",
     "build_serving_deployment",
     "encode_frame",
-    "query_from_spec",
     "read_frame",
     "serve_policy",
     "write_frame",

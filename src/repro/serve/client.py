@@ -153,10 +153,6 @@ class ServeClient:
             message["priority"] = priority
         return await self.call(message)
 
-    async def query(self, spec: dict, **fields) -> dict:
-        message = {"op": "query", **spec, **fields}
-        return await self.call(message)
-
     async def load(self, table: str, rows: list) -> dict:
         return await self.call({"op": "load", "table": table, "rows": rows})
 

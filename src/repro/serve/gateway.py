@@ -57,7 +57,7 @@ import asyncio
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-from repro.cubrick.query import AggFunc, Aggregation, Filter, FilterOp, Query
+from repro.cubrick.query import Query
 from repro.errors import (
     ConfigurationError,
     QueryError,
@@ -102,81 +102,6 @@ def parse_priority(name: object) -> PriorityClass:
             f"unknown priority {name!r} "
             f"(known: {[p.name.lower() for p in PriorityClass]})"
         ) from None
-
-
-def query_from_spec(spec: dict) -> Query:
-    """Build a :class:`Query` from the wire protocol's programmatic form.
-
-    Raises :class:`~repro.errors.QueryError` on any malformed field —
-    the gateway reports it as a typed ``bad_request`` error.
-    """
-    table = spec.get("table")
-    if not isinstance(table, str) or not table:
-        raise QueryError("query spec needs a table name")
-    raw_aggs = spec.get("aggregations")
-    if not isinstance(raw_aggs, list) or not raw_aggs:
-        raise QueryError("query spec needs a non-empty aggregations list")
-    aggregations = []
-    for agg in raw_aggs:
-        if not isinstance(agg, dict):
-            raise QueryError(f"aggregation must be an object: {agg!r}")
-        try:
-            func = AggFunc(str(agg.get("func")))
-        except ValueError:
-            raise QueryError(
-                f"unknown aggregation func {agg.get('func')!r} "
-                f"(known: {[f.value for f in AggFunc]})"
-            ) from None
-        metric = agg.get("metric")
-        if not isinstance(metric, str) or not metric:
-            raise QueryError(f"aggregation needs a metric name: {agg!r}")
-        aggregations.append(Aggregation(func=func, metric=metric))
-    filters = []
-    for flt in spec.get("filters", []) or []:
-        if not isinstance(flt, dict):
-            raise QueryError(f"filter must be an object: {flt!r}")
-        try:
-            op = FilterOp(str(flt.get("op")))
-        except ValueError:
-            raise QueryError(
-                f"unknown filter op {flt.get('op')!r} "
-                f"(known: {[o.value for o in FilterOp]})"
-            ) from None
-        dimension = flt.get("dimension")
-        if not isinstance(dimension, str) or not dimension:
-            raise QueryError(f"filter needs a dimension name: {flt!r}")
-        values = flt.get("values")
-        if not isinstance(values, list):
-            raise QueryError(f"filter needs a values list: {flt!r}")
-        try:
-            coerced = tuple(int(v) for v in values)
-        except (TypeError, ValueError):
-            raise QueryError(
-                f"filter values must be integers: {values!r}"
-            ) from None
-        filters.append(Filter(dimension=dimension, op=op, values=coerced))
-    group_by = spec.get("group_by", []) or []
-    if not isinstance(group_by, list) or any(
-        not isinstance(g, str) for g in group_by
-    ):
-        raise QueryError(f"group_by must be a list of column names: {group_by!r}")
-    limit = spec.get("limit")
-    if limit is not None and (
-        isinstance(limit, bool) or not isinstance(limit, int)
-    ):
-        raise QueryError(f"limit must be an integer: {limit!r}")
-    order_by = spec.get("order_by")
-    if order_by is not None and not isinstance(order_by, str):
-        raise QueryError(f"order_by must be a column name: {order_by!r}")
-    return Query.build(
-        table,
-        aggregations,
-        group_by=list(group_by),
-        filters=filters,
-        order_by=order_by,
-        descending=bool(spec.get("descending", True)),
-        limit=limit,
-    )
 
 
 @dataclass
@@ -500,8 +425,8 @@ class ServeGateway:
             # or ``record.submitted`` read it.
             self._advance()
             op = msg.get("op")
-            if op == "sql" or op == "query":
-                return self._handle_query(rid, op, msg)
+            if op == "sql":
+                return self._handle_sql(rid, msg)
             if op == "ping":
                 return ok_frame(rid, {"pong": True, "time": self.simulator.now})
             if op == "stats":
@@ -513,7 +438,7 @@ class ServeGateway:
             return error_frame(
                 rid,
                 "unknown_op",
-                f"unknown op {op!r} (known: ping, stats, load, invalidate, sql, query)",
+                f"unknown op {op!r} (known: ping, stats, load, invalidate, sql)",
             )
         except Exception as exc:  # never kill the connection for a bug
             return self._internal_error(rid, exc)
@@ -555,28 +480,25 @@ class ServeGateway:
         except TableNotFoundError as exc:
             return error_frame(rid, "table_not_found", str(exc))
         dropped = 0
-        cache = self.deployment.proxy.result_cache
+        cache = self.manager.cache
         if cache is not None:
             dropped = cache.invalidate_table(table)
         return ok_frame(rid, {"invalidated": dropped})
 
-    def _handle_query(
-        self, rid: object, op: str, msg: dict
+    def _handle_sql(
+        self, rid: object, msg: dict
     ) -> "bytes | tuple[asyncio.Future[JobRecord], bool]":
         tenant = msg.get("tenant")
         if tenant is not None:
             tenant = str(tenant)
         try:
             priority = parse_priority(msg.get("priority"))
-            if op == "sql":
-                statement = msg.get("sql")
-                if not isinstance(statement, str):
-                    return error_frame(
-                        rid, "bad_request", "sql op needs an sql string"
-                    )
-                query = self.deployment.compile_sql(statement)
-            else:
-                query = query_from_spec(msg)
+            statement = msg.get("sql")
+            if not isinstance(statement, str):
+                return error_frame(
+                    rid, "bad_request", "sql op needs an sql string"
+                )
+            query = self.deployment.compile_sql(statement)
             info = self.deployment.catalog.get(query.table)
         except SqlError as exc:
             return error_frame(rid, "sql", str(exc), context=exc.context())
@@ -657,7 +579,7 @@ class ServeGateway:
             "rows_scanned": result.rows_scanned,
         }
         metadata = result.metadata
-        if record.outcome == "cache_hit" or metadata.get("cached"):
+        if record.outcome == "cache_hit":
             payload["cached"] = True
         if coalesced:
             payload["coalesced"] = True
@@ -682,7 +604,7 @@ class ServeGateway:
         out["pending"] = self._pending
         out["draining"] = self._draining
         out["virtual_time"] = self.simulator.now
-        cache = self.deployment.proxy.result_cache
+        cache = self.manager.cache
         if cache is not None:
             out["cache"] = {
                 "hits": cache.stats.hits,

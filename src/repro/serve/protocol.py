@@ -11,10 +11,6 @@ order when a connection pipelines requests)::
 
     {"id": 7, "op": "sql",  "sql": "SELECT sum(clicks) FROM events",
      "tenant": "tenant00", "priority": "interactive"}
-    {"id": 8, "op": "query", "table": "events",
-     "aggregations": [{"func": "sum", "metric": "clicks"}],
-     "filters": [{"op": "between", "dimension": "day", "values": [0, 6]}],
-     "group_by": ["day"], "limit": 10}
     {"op": "load", "table": "events", "rows": [{"day": 1, "clicks": 2.0}]}
     {"op": "invalidate", "table": "events"}
     {"op": "ping"} / {"op": "stats"}

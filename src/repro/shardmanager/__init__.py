@@ -11,9 +11,11 @@ integration away from applications. An application (like Cubrick) only:
 
 Components mirror the paper's Figure 3: :class:`SMServer` (central
 scheduler), :class:`ApplicationServer` (user services hosting shards),
-:class:`SMClient` (request routing through service discovery),
 :class:`Datastore` (Zookeeper-like heartbeats + persistent state), and
-:class:`~repro.smc.ServiceDiscovery` from :mod:`repro.smc`.
+:class:`~repro.smc.ServiceDiscovery` from :mod:`repro.smc`. The SM
+Client's role (resolve a shard through discovery, forward on a stale
+mapping) is played by the region coordinator's routing
+(:class:`~repro.cubrick.coordinator.RegionCoordinator`).
 """
 
 from repro.shardmanager.app_server import (
@@ -21,7 +23,6 @@ from repro.shardmanager.app_server import (
     InMemoryApplicationServer,
 )
 from repro.shardmanager.balancer import LoadBalancer, MigrationProposal
-from repro.shardmanager.client import RoutedRequest, SMClient
 from repro.shardmanager.datastore import Datastore, Session
 from repro.shardmanager.metrics import MetricsStore, MovingAverage
 from repro.shardmanager.migration import MigrationEngine, MigrationRecord
@@ -34,8 +35,6 @@ __all__ = [
     "InMemoryApplicationServer",
     "LoadBalancer",
     "MigrationProposal",
-    "SMClient",
-    "RoutedRequest",
     "Datastore",
     "Session",
     "MetricsStore",

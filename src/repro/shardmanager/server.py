@@ -438,32 +438,6 @@ class SMServer:
     def shards_on_host(self, host_id: str) -> set[int]:
         return set(self._host_shards.get(host_id, set()))
 
-    def read_replica(self, shard_id: int, rng=None) -> str:
-        """Host to send *read* traffic for a shard to.
-
-        With ``serve_reads_from_secondaries`` enabled on a
-        primary-secondary service, reads go to a live secondary when one
-        exists (paper §III-A1); otherwise — and always for writes — the
-        primary serves.
-        """
-        entry = self._entry(shard_id)
-        if (
-            self.spec.serve_reads_from_secondaries
-            and self.spec.replication_model is ReplicationModel.PRIMARY_SECONDARY
-        ):
-            secondaries = [
-                r for r in entry.replicas
-                if r.role is ReplicaRole.SECONDARY
-                and self.cluster.host(r.host_id).is_available
-                and r.host_id in self._app_servers
-            ]
-            if secondaries:
-                if rng is None:
-                    return secondaries[0].host_id
-                return secondaries[int(rng.integers(len(secondaries)))].host_id
-        primary = entry.primary() or entry.replicas[0]
-        return primary.host_id
-
     # ------------------------------------------------------------------
     # Metrics collection
     # ------------------------------------------------------------------

@@ -49,9 +49,6 @@ class ServiceSpec:
     replication_model: ReplicationModel = ReplicationModel.PRIMARY_ONLY
     replication_factor: int = 0
     spread: SpreadDomain = SpreadDomain.HOST
-    # Primary-secondary option (paper §III-A1): serve read-only traffic
-    # from secondary replicas, spreading read load off the primary.
-    serve_reads_from_secondaries: bool = False
     # Load balancing (paper §III-A3): throttle migrations per LB run.
     max_migrations_per_run: int = 16
     # A host is "overloaded" when its load exceeds the fleet mean by this

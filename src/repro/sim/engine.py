@@ -83,11 +83,6 @@ class Simulator:
         return self._processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
-
-    @property
     def next_event_time(self) -> Optional[float]:
         """Virtual time of the earliest live queued event, or None.
 
@@ -197,6 +192,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now:.3f}, pending={self.pending_events}, "
+            f"Simulator(now={self._now:.3f}, pending={len(self._heap)}, "
             f"processed={self._processed})"
         )

@@ -6,7 +6,7 @@ multi-tenant table populations with realistic size skew
 (:mod:`repro.workloads.queries`), the Figure 5 fan-out/latency
 experiment (:mod:`repro.workloads.fanout_experiment`), the
 Figure 4e hot/cold access trace (:mod:`repro.workloads.hotcold`), and
-open/closed-loop overload traffic with Zipf tenant skew
+open-loop overload traffic with Zipf tenant skew
 (:mod:`repro.workloads.loadgen`).
 """
 
@@ -32,13 +32,6 @@ from repro.workloads.loadgen import (
     run_overload_experiment,
     zipf_tenant_weights,
 )
-from repro.workloads.traces import (
-    QueryTrace,
-    ReplayReport,
-    TraceEntry,
-    TraceRecorder,
-    replay,
-)
 
 __all__ = [
     "TableSpec",
@@ -58,9 +51,4 @@ __all__ = [
     "overload_policy",
     "run_overload_experiment",
     "zipf_tenant_weights",
-    "QueryTrace",
-    "TraceEntry",
-    "TraceRecorder",
-    "ReplayReport",
-    "replay",
 ]

@@ -1,16 +1,12 @@
-"""Open/closed-loop traffic generation and the overload-vs-SLA experiment.
+"""Open-loop traffic generation and the overload-vs-SLA experiment.
 
 The ROADMAP north-star is "serve heavy traffic from millions of users";
 this module is where heavy traffic comes from. A
 :class:`TrafficGenerator` drives a :class:`~repro.sched.WorkloadManager`
-with multi-tenant query streams on the DES clock:
-
-* **open loop** — arrivals at a fixed rate with seeded-exponential
-  inter-arrival times, independent of completions (the overload model:
-  users do not slow down because the system is slow);
-* **closed loop** — a fixed number of clients, each resubmitting after
-  its previous query resolves plus a think time (the saturation model:
-  concurrency is bounded by the client population).
+with open-loop multi-tenant query streams on the DES clock: arrivals at
+a fixed rate with seeded-exponential inter-arrival times, independent
+of completions (the overload model: users do not slow down because the
+system is slow).
 
 Tenant traffic shares are Zipf-skewed (a few hot tenants dominate, the
 shape the paper's multi-tenant discussion assumes), tenant priority
@@ -164,50 +160,6 @@ class TrafficGenerator:
             simulator.call_later(at, self._submit_one)
             scheduled += 1
         return scheduled
-
-    def run_closed_loop(
-        self,
-        *,
-        clients: int,
-        duration: float,
-        think_time: float = 0.0,
-    ) -> None:
-        """Start ``clients`` resubmit-on-completion loops for ``duration``.
-
-        Each client waits for its query to resolve (whatever the
-        outcome), thinks, and submits again — closed-loop load backs
-        off as the system slows down. The caller advances the simulator.
-        """
-        if clients <= 0:
-            raise ConfigurationError(f"clients must be positive: {clients}")
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be positive: {duration}")
-        if think_time < 0:
-            raise ConfigurationError(
-                f"think_time must be non-negative: {think_time}"
-            )
-        simulator = self.manager.deployment.simulator
-        stop_at = simulator.now + duration
-
-        def client_loop() -> None:
-            if simulator.now >= stop_at:
-                return
-            index = int(self._rng.choice(len(self.profiles), p=self._weights))
-            profile = self.profiles[index]
-            pool = self._pools[index]
-            query = pool[int(self._rng.integers(len(pool)))]
-            self.submitted += 1
-            self.manager.submit(
-                query,
-                tenant=profile.name,
-                priority=profile.priority,
-                on_done=lambda record: simulator.call_later(
-                    max(think_time, 1e-9), client_loop
-                ),
-            )
-
-        for __ in range(clients):
-            client_loop()
 
 
 # ----------------------------------------------------------------------

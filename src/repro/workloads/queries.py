@@ -101,57 +101,3 @@ def simple_probe_query(schema: TableSchema) -> Query:
     """The fan-out experiment's fixed 'same simple query' (paper §IV-H)."""
     return Query.build(schema.name, [Aggregation(AggFunc.COUNT, schema.metrics[0].name)])
 
-
-def tpch_style_queries(
-    fact: str = "events",
-    users: str = "dim_users",
-    geo: str = "dim_geo",
-) -> list[str]:
-    """A fixed TPC-H-flavoured SQL suite over the demo star schema.
-
-    Ten statements against ``events(day, country, user_id; clicks,
-    cost)`` joined to a sharded ``dim_users(user_id, tier)`` and a
-    replicated ``dim_geo(country, region)`` — pricing-summary,
-    top-N, and join-heavy shapes scaled down to the engine's dialect.
-    Used by EXPERIMENTS.md's ``repro sql`` recipe and the differential
-    battery.
-    """
-    return [
-        # Q1-style pricing summary: wide scan, group, every agg family.
-        f"SELECT day, sum(clicks), sum(cost), avg(cost), count(*) "
-        f"FROM {fact} GROUP BY day ORDER BY day ASC",
-        # Q3-style top-N over a recent window.
-        f"SELECT country, sum(clicks) FROM {fact} "
-        f"WHERE day BETWEEN 0 AND 6 "
-        f"GROUP BY country ORDER BY sum(clicks) DESC LIMIT 10",
-        # Q4-style existence count with a range predicate.
-        f"SELECT count(*) FROM {fact} WHERE day < 7 AND country <= 9",
-        # Q5-style local-nation revenue: replicated join + group.
-        f"SELECT {geo}.region, sum(cost) FROM {fact} "
-        f"JOIN {geo} ON {fact}.country = {geo}.country "
-        f"GROUP BY {geo}.region ORDER BY sum(cost) DESC",
-        # Q10-style returned-item ranking: sharded join, top-N.
-        f"SELECT {users}.tier, sum(cost) FROM {fact} "
-        f"JOIN {users} ON {fact}.user_id = {users}.user_id "
-        f"GROUP BY {users}.tier ORDER BY sum(cost) DESC LIMIT 5",
-        # Q13-style distribution: distinct users per day.
-        f"SELECT day, count_distinct(user_id) FROM {fact} "
-        f"GROUP BY day ORDER BY count_distinct(user_id) DESC LIMIT 7",
-        # Q16-style filtered join with an exclusion list.
-        f"SELECT {users}.tier, count(*) FROM {fact} "
-        f"JOIN {users} ON {fact}.user_id = {users}.user_id "
-        f"WHERE country NOT IN (0, 1) "
-        f"GROUP BY {users}.tier ORDER BY count(*) DESC",
-        # Q18-style large-volume customers via HAVING.
-        f"SELECT country, sum(clicks) FROM {fact} GROUP BY country "
-        f"HAVING sum(clicks) > 100 ORDER BY sum(clicks) DESC LIMIT 10",
-        # Q19-style disjunctive predicate (compiled to one IN filter).
-        f"SELECT sum(cost) FROM {fact} "
-        f"WHERE day = 0 OR day = 1 OR day = 2",
-        # Two-join star probe: sharded and replicated sides together.
-        f"SELECT {geo}.region, count(*) FROM {fact} "
-        f"JOIN {users} ON {fact}.user_id = {users}.user_id "
-        f"JOIN {geo} ON {fact}.country = {geo}.country "
-        f"WHERE {users}.tier = 1 GROUP BY {geo}.region "
-        f"ORDER BY count(*) DESC",
-    ]

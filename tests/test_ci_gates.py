@@ -11,12 +11,16 @@
 * No dead settings: every field of ``DeploymentConfig`` and
   ``SchedPolicy`` is set by some caller in ``src/``, ``benchmarks/`` or
   ``examples/``. A field only its default ever uses is a constant.
+* No dangling exports: every module under ``src/repro`` imports, and
+  every name in each ``__all__`` resolves, so a deletion that leaves a
+  re-export behind fails here even when no test imports that module.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -224,3 +228,42 @@ def test_compile_sql_spans_match_the_ledger_arithmetic():
         recorder.unpatch_all()
     assert miss == {"sql.compile": 1, "sql.plan": 3}
     assert both == {"sql.compile": 2, "sql.plan": 3}
+
+
+def _dangling_exports(package_name: str) -> list[str]:
+    """``module.name`` for each ``__all__`` entry under the package
+    (itself included) that the module does not define; importing every
+    module also fails on a re-export whose source is gone."""
+    package = importlib.import_module(package_name)
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, f"{package_name}.")
+    ]
+    return [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+
+
+def test_every_exported_name_resolves():
+    dangling = _dangling_exports("repro")
+    assert not dangling, f"__all__ names that do not resolve: {dangling}"
+
+
+def test_export_walk_flags_a_stale_all(tmp_path, monkeypatch):
+    package = tmp_path / "stalepkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from stalepkg.kept import kept\n__all__ = ['kept', 'deleted']\n",
+        encoding="utf-8",
+    )
+    (package / "kept.py").write_text("def kept():\n    pass\n", encoding="utf-8")
+    (package / "sub" / "__init__.py").write_text(
+        "__all__ = ['gone']\n", encoding="utf-8"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert _dangling_exports("stalepkg") == [
+        "stalepkg.deleted", "stalepkg.sub.gone"
+    ]

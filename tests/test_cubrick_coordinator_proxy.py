@@ -9,6 +9,7 @@ from repro.errors import (
     AdmissionControlError,
     QueryFailedError,
     RegionUnavailableError,
+    TableNotFoundError,
 )
 from repro.workloads.fanout_experiment import probe_schema
 from repro.workloads.queries import simple_probe_query
@@ -120,6 +121,21 @@ class TestStaleRouting:
         assert sorted(result.rows) == sorted(expected)
         assert result.metadata["coverage"] == 1.0
 
+    def test_proxy_answers_through_the_forward_on_its_first_attempt(
+        self, moved, events_schema
+    ):
+        # The stale mapping costs no proxy retry: the coordinator's
+        # forward is the routing a client's query actually takes.
+        deployment, rows, stale_host, *__ = moved
+        reference = PartitionStorage(events_schema, 0)
+        insert_rows(reference, rows)
+        expected = reference.execute(self.QUERY).finalize().rows
+        result = deployment.query(self.QUERY)
+        assert sorted(result.rows) == sorted(expected)
+        assert result.metadata["attempts"] == 1
+        assert result.metadata["coverage"] == 1.0
+        assert not deployment.proxy.is_blacklisted(stale_host)
+
     def test_unassigned_owner_fails_the_attempt(self, moved):
         deployment, __, stale_host, __, shard, __ = moved
         sm = deployment.sm_servers["region0"]
@@ -180,6 +196,27 @@ class TestProxy:
             tiny_deployment.query(probe(tiny_deployment))
         for victim in victims:
             tiny_deployment.cluster.host(victim).recover()
+
+    def test_unknown_table_is_logged_and_counted_before_admission(
+        self, tiny_deployment
+    ):
+        proxy = tiny_deployment.proxy
+        arrivals = len(proxy.admission._recent)
+        with pytest.raises(TableNotFoundError):
+            tiny_deployment.query(probe(tiny_deployment, table="ghosts"))
+        # Resolved before admission: no slot of the window was taken.
+        assert len(proxy.admission._recent) == arrivals
+        entry = proxy.query_log[-1]
+        assert (entry.table, entry.succeeded, entry.attempts, entry.error) == (
+            "ghosts", False, 0, "table_not_found"
+        )
+        outcome = tiny_deployment.obs.metrics.counter(
+            "cubrick.proxy.queries", outcome="table_not_found"
+        )
+        assert outcome.value == 1
+        root = tiny_deployment.obs.tracer.recent[-1]
+        assert root.name == "cubrick.proxy.query"
+        assert root.annotations["outcome"] == "table_not_found"
 
     def test_region_drain_routes_elsewhere(self, tiny_deployment):
         tiny_deployment.cluster.set_region_available("region0", False)

@@ -68,19 +68,6 @@ def test_open_loop_arrivals_are_seeded_and_rate_shaped():
     assert repeat.run_open_loop(rate=50.0, duration=10.0) == scheduled
 
 
-def test_closed_loop_concurrency_is_bounded_by_clients():
-    manager = make_manager()
-    traffic = TrafficGenerator(manager, tenants=3, seed=1)
-    traffic.run_closed_loop(clients=4, duration=20.0, think_time=0.05)
-    simulator = manager.deployment.simulator
-    while simulator.now < 55.0:
-        simulator.run_until(simulator.now + 1.0)
-        assert manager.outstanding() <= 4
-    assert manager.drain()
-    assert traffic.submitted > 40  # the loop actually looped
-    assert all(r.outcome == "ok" for r in manager.records)
-
-
 def test_traffic_generator_validation():
     manager = make_manager()
     with pytest.raises(ConfigurationError):
@@ -92,10 +79,6 @@ def test_traffic_generator_validation():
         traffic.run_open_loop(rate=0.0, duration=1.0)
     with pytest.raises(ConfigurationError):
         traffic.run_open_loop(rate=1.0, duration=0.0)
-    with pytest.raises(ConfigurationError):
-        traffic.run_closed_loop(clients=0, duration=1.0)
-    with pytest.raises(ConfigurationError):
-        traffic.run_closed_loop(clients=1, duration=1.0, think_time=-1.0)
     with pytest.raises(ConfigurationError):
         overload_policy("nonsense")
     with pytest.raises(ConfigurationError):

@@ -32,17 +32,6 @@ def test_sliding_window_enforces_global_qps():
     assert admission.admit(1.0)
 
 
-def test_sliding_window_table_quota_is_independent():
-    admission = SlidingWindowAdmission(max_qps=100.0)
-    admission.set_table_quota("hot", 2.0)
-    assert admission.admit(0.0, "hot")
-    assert admission.admit(0.0, "hot")
-    assert not admission.admit(0.0, "hot")
-    assert admission.admit(0.0, "cold")  # other tables unaffected
-    with pytest.raises(ValueError):
-        admission.set_table_quota("hot", 0.0)
-
-
 def test_fast_path_regression_arrivals_recorded_without_limit():
     """Tightening max_qps mid-run must see the true recent rate.
 

@@ -212,3 +212,16 @@ def test_unknown_table_fails_the_same_with_or_without_cache(
     assert record.error.startswith("TableNotFoundError")
     assert done == [record]
     assert manager.outstanding() == 0
+
+
+def test_unknown_table_is_not_a_cache_lookup(deployment):
+    # The metrics registry and the cache's own stats (the gateway's
+    # ``stats`` op) count the same misses.
+    manager = WorkloadManager(deployment, policy=SchedPolicy(cache_capacity=8))
+    misses = manager.obs.metrics.counter("repro.sched.cache", outcome="miss")
+    manager.submit(Query.build("ghosts", [Aggregation(AggFunc.SUM, "clicks")]))
+    assert manager.drain()
+    assert manager.cache.stats.misses == misses.value == 0
+    manager.submit(make_query())
+    assert manager.drain()
+    assert manager.cache.stats.misses == misses.value == 1

@@ -39,32 +39,39 @@ def _total(result_rows) -> float:
 def test_cache_store_keyed_by_preexecution_versions():
     """A load landing mid-query must not poison the cache (stale read)."""
     serving = build_serving_deployment(0)
+    manager = serving.manager
     deployment = serving.deployment
     proxy = deployment.proxy
     query = deployment.compile_sql("SELECT sum(clicks) FROM events")
 
-    real_submit = proxy._submit
+    def run_query():
+        record = manager.submit(query)
+        assert manager.drain()
+        return record
+
+    real_submit = proxy.submit
 
     def load_lands_mid_flight(q, **kwargs):
         result = real_submit(q, **kwargs)
         # Executed against the old data; the bump happens before the
-        # proxy gets a chance to store the answer.
+        # manager gets a chance to store the answer.
         deployment.load("events", [{"day": 1, "clicks": 50.0}])
         return result
 
-    proxy._submit = load_lands_mid_flight
-    stale = proxy.submit(query)
-    proxy._submit = real_submit
+    proxy.submit = load_lands_mid_flight
+    stale = run_query()
+    del proxy.submit  # back to the class method
+    assert stale.outcome == "ok"
 
-    fresh = proxy.submit(query)
-    assert not fresh.metadata.get("cached"), (
+    fresh = run_query()
+    assert fresh.outcome == "ok", (
         "post-load lookup hit a cache entry stored for pre-load data"
     )
-    assert _total(fresh.rows) == _total(stale.rows) + 50.0
+    assert _total(fresh.result.rows) == _total(stale.result.rows) + 50.0
     # And the fresh answer is itself cacheable under the new versions.
-    again = proxy.submit(query)
-    assert again.metadata.get("cached") is True
-    assert _total(again.rows) == _total(fresh.rows)
+    again = run_query()
+    assert again.outcome == "cache_hit"
+    assert _total(again.result.rows) == _total(fresh.result.rows)
 
 
 def test_no_stale_reads_under_concurrent_load_and_query():
@@ -145,7 +152,7 @@ def test_hit_bytes_die_with_their_generation():
         serving = build_serving_deployment(0)
         gateway = ServeGateway(serving)
         host, port = await gateway.start()
-        cache = serving.deployment.proxy.result_cache
+        cache = serving.manager.cache
         statement = "SELECT sum(clicks) FROM events"
         async with ServeClient(host, port) as client:
             before = _total((await client.sql(statement))["rows"])

@@ -201,7 +201,7 @@ def test_pipelined_hits_leave_bounded_memory():
 
             await burst(1)  # the miss
             await burst(RECENT_RECORDS)  # hits: a full window of records
-            hits_before = gateway.deployment.proxy.result_cache.stats.hits
+            hits_before = gateway.manager.cache.stats.hits
             tracemalloc.start()
             try:
                 baseline, __ = tracemalloc.get_traced_memory()
@@ -213,7 +213,7 @@ def test_pipelined_hits_leave_bounded_memory():
             await writer.wait_closed()
         finally:
             await gateway.close()
-        cache = gateway.deployment.proxy.result_cache
+        cache = gateway.manager.cache
         assert cache.stats.hits - hits_before == requests
         assert len(gateway.manager.records) == RECENT_RECORDS
         assert gateway.manager.records[-1].index == RECENT_RECORDS + requests

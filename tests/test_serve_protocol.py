@@ -4,7 +4,7 @@ Covers the hostile-client matrix the protocol docstring promises:
 malformed frames get a typed error and the connection survives;
 oversized frames get a typed error and the connection dies (the stream
 cannot be trusted); a mid-request disconnect never takes the server
-down; SQL and spec errors come back as typed responses; admission
+down; SQL and request errors come back as typed responses; admission
 rejections carry their reason; and a graceful drain answers every
 accepted in-flight request before stopping (the zero-loss invariant).
 
@@ -34,7 +34,6 @@ from repro.serve import (
     ServeGateway,
     build_serving_deployment,
     encode_frame,
-    query_from_spec,
     read_frame,
     serve_policy,
 )
@@ -175,85 +174,6 @@ def test_parse_priority():
         parse_priority("urgent")
 
 
-def test_query_from_spec_full():
-    query = query_from_spec(
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": [
-                {"op": "between", "dimension": "day", "values": [0, 6]}
-            ],
-            "group_by": ["day"],
-            "order_by": "day",
-            "descending": False,
-            "limit": 5,
-        }
-    )
-    assert query.table == "events"
-    assert query.limit == 5
-    assert query.filters[0].values == (0, 6)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {},
-        {"table": "events"},
-        {"table": "events", "aggregations": ["sum"]},
-        {"table": "events", "aggregations": [{"func": "median", "metric": "x"}]},
-        {"table": "events", "aggregations": [{"func": "sum"}]},
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": ["day"],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": [{"op": "near", "dimension": "day", "values": [1]}],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": [{"op": "eq", "values": [1]}],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": [{"op": "eq", "dimension": "day", "values": "one"}],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "filters": [{"op": "eq", "dimension": "day", "values": ["x"]}],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "group_by": [1],
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "limit": "ten",
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "limit": True,
-        },
-        {
-            "table": "events",
-            "aggregations": [{"func": "sum", "metric": "clicks"}],
-            "order_by": 3,
-        },
-    ],
-)
-def test_query_from_spec_rejects_malformed(spec):
-    with pytest.raises(QueryError):
-        query_from_spec(spec)
-
-
 def test_gateway_config_validation():
     serving = build_serving_deployment(0)
     with pytest.raises(ConfigurationError):
@@ -308,28 +228,6 @@ def test_sql_executes_then_caches():
                 )
                 assert second["cached"] is True
                 assert second["rows"] == first["rows"]
-        finally:
-            await gateway.close()
-
-    run(check())
-
-
-def test_programmatic_query_op():
-    async def check():
-        gateway = await started_gateway()
-        try:
-            host, port = gateway.address
-            async with ServeClient(host, port) as client:
-                result = await client.query(
-                    {
-                        "table": "events",
-                        "aggregations": [{"func": "sum", "metric": "clicks"}],
-                        "group_by": ["day"],
-                        "limit": 3,
-                    }
-                )
-                assert result["columns"] == ["day", "sum(clicks)"]
-                assert len(result["rows"]) == 3
         finally:
             await gateway.close()
 
@@ -432,18 +330,21 @@ def test_sql_error_is_typed_and_connection_survives():
         ({"op": "sql"}, "bad_request"),
         ({"op": "sql", "sql": "SELECT sum(clicks) FROM events",
           "priority": "urgent"}, "bad_request"),
-        ({"op": "query", "table": "events"}, "bad_request"),
+        ({"op": "sql", "sql": ["SELECT sum(clicks) FROM events"]},
+         "bad_request"),
         ({"op": "load", "table": "events"}, "bad_request"),
         ({"op": "load", "table": "events", "rows": [{"day": "x"}]},
          "bad_request"),
         ({"op": "invalidate"}, "bad_request"),
         ({"op": "compact"}, "unknown_op"),
-        ({"op": "query", "table": "ghosts",
-          "aggregations": [{"func": "sum", "metric": "clicks"}]},
-         "table_not_found"),
+        ({"op": "sql", "sql": "SELECT day, count(*) FROM ghosts GROUP BY day",
+          "tenant": "t0"}, "table_not_found"),
         ({"op": "sql", "sql": "SELECT sum(nope) FROM events"}, "sql"),
         ({"op": "sql", "sql": "SELECT count(*) FROM events WHERE day = 99"},
          "sql"),
+        ({"op": "query", "table": "events",
+          "aggregations": [{"func": "sum", "metric": "clicks"}]},
+         "unknown_op"),
     ],
 )
 def test_typed_request_errors(message, code):

@@ -1,92 +1,12 @@
-"""Tests for the SM client routing and the migration engine."""
+"""Tests for the SM migration engine."""
 
 import pytest
 
-from repro.cluster.topology import Cluster
-from repro.errors import (
-    HostUnavailableError,
-    MigrationError,
-    ShardMappingUnknownError,
-)
+from repro.errors import MigrationError
 from repro.shardmanager.app_server import InMemoryApplicationServer
-from repro.shardmanager.client import SMClient
 from repro.shardmanager.migration import MigrationEngine
-from repro.shardmanager.server import SMServer
-from repro.shardmanager.spec import ServiceSpec
 from repro.sim.engine import DAY, Simulator
 from repro.smc.registry import ServiceDiscovery
-
-
-def make_service():
-    simulator = Simulator()
-    cluster = Cluster.build(regions=1, racks_per_region=2, hosts_per_rack=5)
-    server = SMServer(
-        ServiceSpec(name="t", max_shards=1000), simulator, cluster,
-        region="region0",
-    )
-    apps = {}
-    for host in cluster.hosts():
-        app = InMemoryApplicationServer(host.host_id, capacity=1000.0)
-        apps[host.host_id] = app
-        server.register_host(app)
-    return simulator, cluster, server, apps
-
-
-class TestSMClient:
-    def test_resolve_after_propagation(self):
-        simulator, __, server, __a = make_service()
-        entry = server.create_shard(1, size_hint=1.0)
-        simulator.run_until(60.0)
-        client = SMClient(server)
-        assert client.resolve(1) == entry.replicas[0].host_id
-
-    def test_resolve_before_propagation_raises(self):
-        simulator, __, server, __a = make_service()
-        server.create_shard(1, size_hint=1.0)
-        client = SMClient(server)
-        with pytest.raises(ShardMappingUnknownError):
-            client.resolve(1)
-
-    def test_request_reaches_owner(self):
-        simulator, __, server, __a = make_service()
-        entry = server.create_shard(1, size_hint=1.0)
-        simulator.run_until(60.0)
-        client = SMClient(server)
-        result, routed = client.request(1, lambda host: host)
-        assert result == entry.replicas[0].host_id
-        assert not routed.was_stale
-        assert not routed.forwarded
-
-    def test_stale_mapping_forwards_during_migration(self):
-        simulator, __, server, apps = make_service()
-        entry = server.create_shard(1, size_hint=1.0)
-        simulator.run_until(60.0)
-        source = entry.replicas[0].host_id
-        target = next(h for h in apps if h != source)
-        from repro.shardmanager.balancer import MigrationProposal
-
-        server._execute_move(
-            MigrationProposal(
-                shard_id=1, from_host=source, to_host=target, shard_load=1.0
-            )
-        )
-        client = SMClient(server)
-        # Immediately after the move the cache still points at source;
-        # source no longer "owns" the shard in SM, so we forward.
-        result, routed = client.request(1, lambda host: host)
-        assert routed.was_stale
-        assert routed.forwarded
-        assert result == target
-
-    def test_down_host_raises(self):
-        simulator, cluster, server, __a = make_service()
-        entry = server.create_shard(1, size_hint=1.0)
-        simulator.run_until(60.0)
-        victim = entry.replicas[0].host_id
-        cluster.host(victim).fail(permanent=False)
-        client = SMClient(server)
-        with pytest.raises(HostUnavailableError):
-            client.request(1, lambda host: host)
 
 
 class TestMigrationEngine:

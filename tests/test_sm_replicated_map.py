@@ -10,7 +10,17 @@ blind.
 from __future__ import annotations
 
 from repro.chaos.scenarios import build_chaos_deployment
-from repro.shardmanager.client import SMClient
+
+
+def _journaled_shard_map(sm) -> dict[int, list[tuple[str, str]]]:
+    """The shard map as a client reads it from the SM's datastore:
+    shard id -> ``[(host_id, role), ...]``."""
+    shard_map = {}
+    for key in sm.datastore.keys_with_prefix(sm._shardmap_prefix):
+        value = sm.datastore.get(key)
+        if value:
+            shard_map[int(key.rsplit("/", 1)[1])] = [tuple(p) for p in value]
+    return shard_map
 
 
 def _deployment():
@@ -33,7 +43,9 @@ class TestJournaledShardMap:
     def test_client_shard_map_matches_server(self):
         deployment = _deployment()
         sm = deployment.sm_servers["region0"]
-        shard_map = SMClient(sm).shard_map()
+        # Read from the journal, not the SM's memory: this read survives
+        # the loss of the SM server itself.
+        shard_map = _journaled_shard_map(sm)
         assert sorted(shard_map) == sm.shard_ids()
         for shard_id, replicas in shard_map.items():
             entry = sm.shard_entry(shard_id)

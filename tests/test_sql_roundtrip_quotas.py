@@ -1,4 +1,4 @@
-"""SQL render/parse round-trip property and per-table admission quotas."""
+"""SQL render/parse round-trip property."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from repro.cubrick.query import (
 )
 from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.cubrick.sql import render_query
-from repro.errors import AdmissionControlError
 
 #: Every domain holds the drawn filter values 0..100.
 DOMAIN = 128
@@ -152,54 +151,3 @@ class TestRoundTrip:
             "GROUP BY day ORDER BY sum(clicks) DESC LIMIT 3"
         )
 
-
-class TestTableQuotas:
-    def test_per_table_quota_is_enforced(self, tiny_deployment):
-        proxy = tiny_deployment.proxy
-        proxy.admission.set_table_quota("events", 3.0)
-        query_sql = "SELECT count(clicks) FROM events"
-        served = 0
-        rejected = 0
-        for __ in range(10):
-            try:
-                tiny_deployment.sql(query_sql)
-                served += 1
-            except AdmissionControlError:
-                rejected += 1
-        assert served == 3
-        assert rejected == 7
-
-    def test_other_tables_unaffected(self, tiny_deployment):
-        from repro.cubrick.schema import Dimension, Metric, TableSchema
-
-        other = TableSchema.build(
-            "other", [Dimension("x", 5)], [Metric("m")]
-        )
-        tiny_deployment.create_table(other)
-        tiny_deployment.load("other", [{"x": 1, "m": 1.0}] * 5)
-        tiny_deployment.simulator.run_until(
-            tiny_deployment.simulator.now + 30.0
-        )
-        proxy = tiny_deployment.proxy
-        proxy.admission.set_table_quota("events", 1.0)
-        tiny_deployment.sql("SELECT count(clicks) FROM events")
-        with pytest.raises(AdmissionControlError):
-            tiny_deployment.sql("SELECT count(clicks) FROM events")
-        # The quota on "events" does not throttle "other".
-        for __ in range(5):
-            tiny_deployment.sql("SELECT count(m) FROM other")
-
-    def test_quota_window_slides(self, tiny_deployment):
-        proxy = tiny_deployment.proxy
-        proxy.admission.set_table_quota("events", 1.0)
-        tiny_deployment.sql("SELECT count(clicks) FROM events")
-        with pytest.raises(AdmissionControlError):
-            tiny_deployment.sql("SELECT count(clicks) FROM events")
-        tiny_deployment.simulator.run_until(
-            tiny_deployment.simulator.now + 2.0
-        )
-        tiny_deployment.sql("SELECT count(clicks) FROM events")
-
-    def test_invalid_quota_rejected(self, tiny_deployment):
-        with pytest.raises(ValueError):
-            tiny_deployment.proxy.admission.set_table_quota("events", 0.0)
