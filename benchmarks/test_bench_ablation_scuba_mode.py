@@ -50,7 +50,7 @@ def run_mode(mode: ShardingMode, allow_partial: bool):
     coverage_sum = 0.0
     for __ in range(TRIALS):
         try:
-            result = deployment.coordinators["region0"].execute(
+            result = deployment.proxy.submit(
                 probe, allow_partial=allow_partial
             )
         except QueryFailedError:

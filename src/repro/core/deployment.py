@@ -38,7 +38,7 @@ from repro.cubrick.partitioning import (
     split_by_partition,
 )
 from repro.cubrick.proxy import CubrickProxy
-from repro.cubrick.query import Query, QueryResult
+from repro.cubrick.query import REPLICATED_LOCAL, Query, QueryResult
 from repro.cubrick.schema import Catalog, TableInfo, TableSchema
 from repro.cubrick.sharding import (
     MonotonicHashMapper,
@@ -61,6 +61,16 @@ STATEMENT_CACHE_SIZE = 1024
 
 #: SSD capacity of every host: the capacity GEN3 load balancing exports.
 SSD_BYTES_PER_HOST = 32 * GIB
+
+
+@dataclass
+class _Compiled:
+    """A statement-cache entry: the plan and its stamp, the ingest
+    generations of the sharded tables whose row counts its join
+    strategies read."""
+
+    query: Query
+    stamp: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -207,12 +217,12 @@ class CubrickDeployment:
             rng=self.rngs.stream("proxy"),
             obs=self.obs,
         )
-        # Statement cache: (SQL text, catalog version) -> fan-out Query.
+        # Statement cache: (SQL text, catalog version) -> compiled plan.
         # A create or drop moves the version, so no entry outlives the
         # schema it was planned against; a statement that raises is not
         # remembered.
         self._statement_cache = lru_cache(maxsize=STATEMENT_CACHE_SIZE)(
-            self._compile_fanout
+            self._compile
         )
         self.automation = DatacenterAutomation(
             self.simulator,
@@ -445,67 +455,54 @@ class CubrickDeployment:
             catalog=self.catalog, stats=stats, optimize=optimize
         )
 
-    def sql(self, statement: str, **query_kwargs) -> QueryResult:
-        """Plan and execute one SQL statement.
+    def sql(self, statement: str, **submit_kwargs) -> QueryResult:
+        """Compile one SQL statement and submit it through the proxy.
 
         >>> deployment.sql("SELECT sum(clicks) FROM events LIMIT 5")
 
-        The statement runs through :meth:`_physical_plan` and then
-        executes as its plan kind says: proxy fan-out, broadcast join,
-        partitioned-hash join, or an empty result without fan-out.
-        ``query_kwargs`` (``allow_partial``/``straggler_timeout``/
-        ``deadline``) apply to proxy fan-out plans.
+        Every plan kind (fan-out, broadcast join, partitioned-hash join,
+        empty) takes the same route; ``submit_kwargs``
+        (``allow_partial``/``straggler_timeout``/``deadline``/
+        ``policy``) are :meth:`CubrickProxy.submit`'s.
         """
-        from repro.sql import execute_plan
-
-        return execute_plan(
-            self._physical_plan(statement), self.proxy, **query_kwargs
-        )
+        return self.proxy.submit(self.compile_sql(statement), **submit_kwargs)
 
     def compile_sql(self, statement: str) -> Query:
-        """Compile one SELECT into the :class:`Query` the proxy fans out.
+        """Compile one SELECT into the :class:`Query` that runs it.
 
-        The managed admission path (:class:`~repro.sched.WorkloadManager`,
-        and the serving gateway in front of it) schedules ``Query``
-        objects, so SQL submitted there is compiled up front by the same
-        planner as :meth:`sql`, and errors surface before the query takes
-        a queue slot: :class:`~repro.errors.TableNotFoundError` for an
-        unknown FROM table, a positioned :class:`~repro.errors.SqlError`
-        for everything else. Only ``fanout`` plans are schedulable; an
-        ``empty``, ``broadcast-join`` or ``hash-join`` plan raises a
-        ``SqlError`` naming its kind (run those through :meth:`sql`).
+        Every SQL surface (:meth:`sql`, the
+        :class:`~repro.sched.WorkloadManager` and the serving gateway in
+        front of it) compiles here, so errors surface before the query
+        takes a queue slot: :class:`~repro.errors.TableNotFoundError`
+        for an unknown FROM table, a positioned
+        :class:`~repro.errors.SqlError` for everything else.
 
-        Dashboards replay the same few statements, so the result is
-        memoised per ``(statement, catalog.version)`` in a bounded LRU.
-        Fan-out plans consult no join statistics, so loads never make
-        an entry stale, and a create or drop changes the version.
+        Dashboards replay the same few statements, so the plan is
+        memoised per ``(statement, catalog.version)`` in a bounded LRU;
+        a create or drop changes the version. A sharded join's strategy
+        read its dimension table's row count, so such a plan is
+        recompiled once a load has moved that table's ingest generation.
         """
-        return self._statement_cache(statement, self.catalog.version)
+        compiled = self._statement_cache(statement, self.catalog.version)
+        if compiled.stamp and compiled.stamp != self._stats_stamp(
+            compiled.query
+        ):
+            fresh = self._compile(statement, self.catalog.version)
+            compiled.query, compiled.stamp = fresh.query, fresh.stamp
+        return compiled.query
 
-    def _compile_fanout(self, statement: str, catalog_version: int) -> Query:
-        """Plan one statement for the managed path (``catalog_version``
-        only keys the statement cache)."""
-        physical = self._physical_plan(statement)
-        if physical.kind == "fanout":
-            return physical.fanout_query
-        logical = physical.logical
-        if physical.kind == "empty":
-            raise logical.error(
-                f"plan is empty ({logical.empty_reason}); the managed path "
-                f"schedules fan-out plans only, use deployment.sql",
-                logical.statement.where.pos,
-            )
-        table = physical.sharded_joins[0].table
-        clause = next(j for j in logical.statement.joins if j.table == table)
-        raise logical.error(
-            f"plan is {physical.kind} (sharded table {table!r}); the "
-            f"managed path schedules fan-out plans only, use deployment.sql",
-            clause.pos,
+    def _stats_stamp(self, query: Query) -> tuple[int, ...]:
+        """Ingest generations of the sharded tables a plan's join
+        strategies read row counts of."""
+        return tuple(
+            self.catalog.get(j.table).ingest_generation
+            for j in query.joins if j.strategy != REPLICATED_LOCAL
         )
 
-    def _physical_plan(self, statement: str):
+    def _compile(self, statement: str, catalog_version: int) -> "_Compiled":
         """The one SQL compile step: parse, check the FROM table, plan
-        against the catalog, lower to a physical plan.
+        against the catalog, lower to a physical plan
+        (``catalog_version`` only keys the statement cache).
 
         The stages are looked up on :mod:`repro.sql` at call time, so
         anything wrapping them there (the perf ledger's spans) sees
@@ -516,7 +513,8 @@ class CubrickDeployment:
         stmt = frontend.parse(statement)
         self.catalog.get(stmt.table)  # raises TableNotFoundError
         logical = frontend.plan(stmt, self.planner_context(), source=statement)
-        return frontend.build_physical(logical)
+        query = frontend.build_physical(logical).query
+        return _Compiled(query, self._stats_stamp(query))
 
     def explain(self, statement: str, *, optimize: bool = True) -> str:
         """Deterministic EXPLAIN text for one SQL statement.

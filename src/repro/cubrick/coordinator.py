@@ -11,6 +11,16 @@ Latency is simulated: each participating host's service time is sampled
 from the tail-latency model, and the query's latency is the max over
 hosts (fan-out amplification) plus coordinator merge overhead — the
 mechanism behind Figure 5.
+
+Every plan kind the SQL planner emits executes here. An empty plan is
+answered with zero rows and touches no node. A join to a sharded
+dimension table first collects the table's referenced columns onto the
+coordinator: a ``broadcast`` join turns them into fact-key-indexed
+lookup arrays that ride down to every node scan, a ``partitioned-hash``
+join fans the fact side out grouped by the join key and joins the
+merged pre-finalize partial against them. The dimension side is always
+collected strictly; partial mode applies to the fact scan only, so a
+join answer never silently loses dimension matches.
 """
 
 from __future__ import annotations
@@ -22,7 +32,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.chaos.policies import ResiliencePolicy
-from repro.cubrick.query import PartialResult, Query, QueryResult
+from repro.cubrick.query import (
+    BROADCAST,
+    PARTITIONED_HASH,
+    Filter,
+    Join,
+    PartialResult,
+    Query,
+    QueryResult,
+)
 from repro.cubrick.schema import Catalog
 from repro.cubrick.sharding import ShardDirectory
 from repro.errors import (
@@ -35,6 +53,45 @@ from repro.obs import Observability
 from repro.shardmanager.server import SMServer
 from repro.sim.latency import LatencyModel, LogNormalTailLatency
 from repro.sim.failures import BernoulliFailureModel
+
+
+def dim_columns(query: Query, join: Join) -> list[str]:
+    """The columns a sharded join collects: key first, then the
+    dimension attributes the query references, sorted."""
+    attrs = sorted({
+        column for name in query.joined_columns()
+        if (column := join.column_of(name)) is not None
+    })
+    return [join.dim_key] + [c for c in attrs if c != join.dim_key]
+
+
+def hash_join_sides(query: Query) -> tuple[Join, Query, tuple[Filter, ...]]:
+    """Split a plan with a partitioned-hash join into its two sides.
+
+    Returns the join; the fact-side query, grouped by the join key
+    first and without the join or its filters; and the join's filters
+    with the table prefix stripped, which the dimension collection
+    applies. EXPLAIN prints these sides, the coordinator runs them.
+    """
+    join = next(j for j in query.joins if j.strategy == PARTITIONED_HASH)
+    prefix = f"{join.table}."
+    fact_query = Query(
+        table=query.table,
+        aggregations=query.aggregations,
+        group_by=(join.fact_key,) + tuple(
+            g for g in query.group_by
+            if not g.startswith(prefix) and g != join.fact_key
+        ),
+        filters=tuple(
+            f for f in query.filters if not f.dimension.startswith(prefix)
+        ),
+        joins=tuple(j for j in query.joins if j is not join),
+    )
+    pushed = tuple(
+        Filter(dimension=f.dimension[len(prefix):], op=f.op, values=f.values)
+        for f in query.filters if f.dimension.startswith(prefix)
+    )
+    return join, fact_query, pushed
 
 
 @dataclass
@@ -149,7 +206,6 @@ class RegionCoordinator:
         allow_partial: bool = False,
         straggler_timeout: Optional[float] = None,
         policy: ResiliencePolicy = ResiliencePolicy.legacy(),
-        extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
     ) -> QueryResult:
         """Distribute, execute and merge one query in this region.
 
@@ -171,11 +227,6 @@ class RegionCoordinator:
         error as a crashed host (or is skipped in partial mode) — and
         hosts slower than its hedge trigger are hedged with duplicate
         requests, the fastest answer winning. ``legacy()`` sets neither.
-
-        ``extra_lookups`` passes coordinator-built join lookup arrays
-        (keyed by dotted column name) down to every node scan — the SQL
-        physical plan's broadcast-join step for sharded dimension
-        tables.
         """
         with self.obs.tracer.span(
             "cubrick.coordinator.execute", region=self.region, table=query.table
@@ -190,7 +241,6 @@ class RegionCoordinator:
                     allow_partial=allow_partial,
                     straggler_timeout=straggler_timeout,
                     policy=policy,
-                    extra_lookups=extra_lookups,
                 )
             except QueryFailedError as exc:
                 span.annotate(outcome="failed", error=str(exc))
@@ -216,11 +266,55 @@ class RegionCoordinator:
         allow_partial: bool,
         straggler_timeout: Optional[float],
         policy: ResiliencePolicy,
-        extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
     ) -> QueryResult:
         info = self.catalog.get(query.table)
         execution = QueryExecution(query=query, region=self.region)
         self.executions.append(execution)
+        if query.empty_reason:
+            execution.succeeded = True
+            span.set_duration(0.0)
+            span.annotate(fanout=0, empty_reason=query.empty_reason)
+            result = PartialResult(query=query).finalize()
+            result.metadata.update(
+                {
+                    "table": query.table,
+                    "num_partitions": info.num_partitions,
+                    "generation": info.generation,
+                    "region": self.region,
+                    "latency": 0.0,
+                    "fanout": 0,
+                    "empty_reason": query.empty_reason,
+                }
+            )
+            _label_joins(query, result)
+            return result
+
+        # Sharded joins: collect the dimension side first, strictly.
+        scan_query = query
+        extra_lookups: dict[str, tuple[str, np.ndarray]] = {}
+        hash_join: Optional[tuple[Join, dict[str, np.ndarray]]] = None
+        collect_latency = 0.0
+        collect_fanout = 0
+        for join in query.joins:
+            if join.strategy == BROADCAST:
+                lookups, latency, fanout = self._collect_lookups(
+                    query, join, (), policy
+                )
+                for column, lookup in lookups.items():
+                    extra_lookups[f"{join.table}.{column}"] = (
+                        join.fact_key, lookup,
+                    )
+            elif join.strategy == PARTITIONED_HASH:
+                join, scan_query, pushed = hash_join_sides(query)
+                lookups, latency, fanout = self._collect_lookups(
+                    query, join, pushed, policy
+                )
+                hash_join = (join, lookups)
+            else:
+                continue
+            collect_latency += latency
+            collect_fanout += fanout
+        first_scan = len(span.children)
 
         # Mid-reshard, the serving layout lives under a generation-tagged
         # physical alias; nodes key partition storage by that name, so
@@ -228,8 +322,8 @@ class RegionCoordinator:
         # metadata keep presenting the logical name.
         physical = info.physical_table
         exec_query = (
-            query if physical == query.table
-            else replace(query, table=physical)
+            scan_query if physical == query.table
+            else replace(scan_query, table=physical)
         )
         hosts = self.partition_hosts(physical)
         execution.fanout = len(hosts)
@@ -242,7 +336,7 @@ class RegionCoordinator:
             hedges,
             skipped_hosts,
         ) = self._fanout_partials(
-            query,
+            scan_query,
             exec_query,
             hosts,
             execution,
@@ -251,6 +345,10 @@ class RegionCoordinator:
             policy=policy,
             extra_lookups=extra_lookups,
         )
+        if collect_latency:
+            # The fact scan starts once the dimension side is collected.
+            for child in span.children[first_scan:]:
+                child.shift(collect_latency)
 
         latency = (
             slowest
@@ -265,6 +363,8 @@ class RegionCoordinator:
                 straggler_timeout + self.COORDINATOR_OVERHEAD
                 + (extra_hops + extra_roundtrips) * self.HOP_COST,
             )
+        if collect_latency:
+            latency += collect_latency
         execution.latency = latency
         execution.succeeded = True
         self._latency_histogram.observe(latency)
@@ -280,6 +380,8 @@ class RegionCoordinator:
         with self.obs.tracer.span(
             "cubrick.coordinator.merge", region=self.region
         ) as merge_span:
+            if hash_join is not None:
+                merged = _hash_join(query, *hash_join, merged)
             result = merged.finalize()
             merge_span.start = span.start + (latency - merge_cost)
             merge_span.set_duration(merge_cost)
@@ -314,7 +416,42 @@ class RegionCoordinator:
                 "hedges": hedges,
             }
         )
+        if collect_latency:
+            result.metadata["collect_latency"] = collect_latency
+            result.metadata["collect_fanout"] = collect_fanout
+        _label_joins(query, result)
         return result
+
+    def _collect_lookups(
+        self,
+        query: Query,
+        join: Join,
+        filters: tuple[Filter, ...],
+        policy: ResiliencePolicy,
+    ) -> tuple[dict[str, np.ndarray], float, int]:
+        """Collect one sharded dimension table into lookup arrays.
+
+        Returns ``(lookups, latency, fanout)``: each lookup maps a fact-side
+        join-key value to the dimension column's value, -1 where no
+        dimension row matches (the engine's drop marker).
+        """
+        columns = dim_columns(query, join)
+        arrays, latency, fanout = self.collect_columns(
+            join.table, columns, filters, policy=policy
+        )
+        keys = arrays[join.dim_key].astype(np.int64)
+        size = max(
+            self.catalog.get(query.table)
+            .schema.dimension(join.fact_key).cardinality,
+            self.catalog.get(join.table)
+            .schema.dimension(join.dim_key).cardinality,
+        )
+        lookups: dict[str, np.ndarray] = {}
+        for column in columns:
+            lookup = np.full(size, -1, dtype=np.int64)
+            lookup[keys] = arrays[column].astype(np.int64)
+            lookups[column] = lookup
+        return lookups, latency, fanout
 
     def _fanout_partials(
         self,
@@ -330,10 +467,8 @@ class RegionCoordinator:
     ) -> tuple[PartialResult, float, int, int, list[str]]:
         """Run the per-host scan loop and merge node partials.
 
-        Shared by :meth:`_execute` (which finalizes the merge into rows)
-        and :meth:`execute_partials` (which hands the pre-finalize
-        partial to the SQL physical plan's hash-join step). Returns
-        ``(merged, slowest, answered_partitions, hedges, skipped)``.
+        Returns ``(merged, slowest, answered_partitions, hedges,
+        skipped)``.
         """
         merged = PartialResult(query=query)
         slowest = 0.0
@@ -435,58 +570,6 @@ class RegionCoordinator:
             merged.merge(partial)
         return merged, slowest, answered_partitions, hedges, skipped_hosts
 
-    def execute_partials(
-        self,
-        query: Query,
-        *,
-        extra_lookups: Optional[dict[str, tuple[str, np.ndarray]]] = None,
-        policy: ResiliencePolicy = ResiliencePolicy.legacy(),
-    ) -> tuple[PartialResult, dict]:
-        """Fan out a query and return the merged *pre-finalize* partial.
-
-        The SQL physical plan's partitioned-hash join fans out the fact
-        scan grouped by the join key, then joins and re-aggregates the
-        raw partial states on the coordinator before finalizing — so it
-        needs the merged partial, not shaped rows. Strict mode only: a
-        failed host raises a retryable :class:`QueryFailedError`.
-        """
-        info = self.catalog.get(query.table)
-        execution = QueryExecution(query=query, region=self.region)
-        self.executions.append(execution)
-        physical = info.physical_table
-        exec_query = (
-            query if physical == query.table
-            else replace(query, table=physical)
-        )
-        with self.obs.tracer.span(
-            "cubrick.coordinator.gather", region=self.region, table=query.table
-        ) as span:
-            hosts = self.partition_hosts(physical)
-            execution.fanout = len(hosts)
-            merged, slowest, _, hedges, _ = self._fanout_partials(
-                query,
-                exec_query,
-                hosts,
-                execution,
-                allow_partial=False,
-                straggler_timeout=None,
-                policy=policy,
-                extra_lookups=extra_lookups,
-            )
-            latency = slowest + self.COORDINATOR_OVERHEAD
-            execution.latency = latency
-            execution.succeeded = True
-            span.set_duration(latency)
-            span.annotate(fanout=execution.fanout, hedges=hedges)
-        self._latency_histogram.observe(latency)
-        self._fanout_histogram.observe(execution.fanout)
-        return merged, {
-            "region": self.region,
-            "latency": latency,
-            "fanout": execution.fanout,
-            "hedges": hedges,
-        }
-
     def collect_columns(
         self,
         table: str,
@@ -497,10 +580,10 @@ class RegionCoordinator:
     ) -> tuple[dict[str, np.ndarray], float, int]:
         """Gather raw columns of a sharded table onto the coordinator.
 
-        The SQL physical plan's join strategies pull a sharded dimension
-        table's (filtered) key and attribute columns here — broadcast
-        builds per-fact-row lookup arrays from them, partitioned-hash
-        builds the join hash side. Strict mode only: any unavailable
+        A sharded join pulls the dimension table's (filtered) key and
+        attribute columns here — broadcast builds per-fact-row lookup
+        arrays from them, partitioned-hash builds the join hash side.
+        Strict mode only: any unavailable
         host raises a retryable :class:`QueryFailedError`. Arrays
         concatenate in sorted host order, partition order within each
         host, so collection is deterministic for a fixed layout.
@@ -685,3 +768,40 @@ class RegionCoordinator:
             return 1.0
         succeeded = sum(1 for e in self.executions if e.succeeded)
         return succeeded / len(self.executions)
+
+
+def _hash_join(
+    query: Query,
+    join: Join,
+    lookups: dict[str, np.ndarray],
+    merged: PartialResult,
+) -> PartialResult:
+    """Join the fact side's merged partial against the collected keys.
+
+    Re-keys the merged block as arrays: groups whose join key has no
+    matching dimension row are dropped (inner join), dotted columns map
+    through the lookups, and the regrouped block consolidates into a
+    partial of the final query.
+    """
+    block = merged.block()
+    fact_keys = block.keys[:, 0]
+    matched = lookups[join.dim_key]
+    in_range = np.flatnonzero((fact_keys >= 0) & (fact_keys < len(matched)))
+    rows = in_range[matched[fact_keys[in_range]] >= 0]
+    prefix = f"{join.table}."
+    position = {g: i for i, g in enumerate(merged.query.group_by)}
+    keys = np.empty((len(rows), len(query.group_by)), dtype=np.int64)
+    for j, g in enumerate(query.group_by):
+        if g.startswith(prefix):
+            keys[:, j] = lookups[g[len(prefix):]][fact_keys[rows]]
+        else:
+            keys[:, j] = block.keys[rows, position[g]]
+    return merged.regroup(query, rows, keys)
+
+
+def _label_joins(query: Query, result: QueryResult) -> None:
+    """Name each join's strategy in the result's metadata."""
+    if query.joins:
+        result.metadata["join_strategies"] = {
+            j.table: j.strategy for j in query.joins
+        }

@@ -21,7 +21,12 @@ from repro.cubrick.loadbalance import (
     DecompressedSizeExporter,
     MetricExporter,
 )
-from repro.cubrick.query import PartialResult, Query, kernel_family
+from repro.cubrick.query import (
+    REPLICATED_LOCAL,
+    PartialResult,
+    Query,
+    kernel_family,
+)
 from repro.cubrick.schema import Catalog, partition_name
 from repro.cubrick.sharding import ShardDirectory
 from repro.cubrick.storage import PartitionStorage
@@ -299,17 +304,21 @@ class CubrickNode(ApplicationServer):
     def _join_lookups(
         self, query: Query
     ) -> dict[str, tuple[str, np.ndarray]]:
-        """Materialise key→attribute lookup arrays for the query's joins.
+        """Materialise key→attribute lookup arrays for the query's
+        ``replicated-local`` joins.
 
         Every node holds a full copy of each replicated dimension table,
         so the join is resolved entirely locally — the reason replication
         is the standard treatment for small frequently-joined tables.
+        The coordinator supplies lookups for the other strategies.
         """
         if not query.joins:
             return {}
         referenced = query.joined_columns()
         lookups: dict[str, tuple[str, np.ndarray]] = {}
         for join in query.joins:
+            if join.strategy != REPLICATED_LOCAL:
+                continue
             storage = self._replicated.get(join.table)
             if storage is None:
                 raise PartitionNotFoundError(
@@ -365,8 +374,7 @@ class CubrickNode(ApplicationServer):
         data. Joins to replicated dimension tables are materialised from
         this node's local replicas; ``extra_lookups`` supplies
         coordinator-built lookups for broadcast joins against *sharded*
-        dimension tables (dotted references the local replicas cannot
-        answer).
+        dimension tables.
         """
         lookups = self._join_lookups(query)
         if extra_lookups:

@@ -138,24 +138,38 @@ _COMPARE = {
 }
 
 
+#: Join strategies. Nodes resolve a replicated-local join from their
+#: own replicas; the coordinator collects a sharded dimension table for
+#: the other two.
+REPLICATED_LOCAL = "replicated-local"
+BROADCAST = "broadcast"
+PARTITIONED_HASH = "partitioned-hash"
+
+
 @dataclass(frozen=True)
 class Join:
-    """An equi-join from the fact table to a *replicated* dimension table.
+    """An equi-join from the fact table to a dimension table.
 
     Interactive analytic DBMSs replicate small, frequently-joined tables
     to every node so joins with large distributed tables never cross the
-    network (paper §II-B). Joined columns are referenced in filters and
-    group-bys with dotted names (``"dim_users.country"``); rows whose
-    key has no match in the dimension table are dropped (inner join).
+    network (paper §II-B); that is the default ``replicated-local``
+    strategy. A join to a *sharded* dimension table carries the strategy
+    the planner chose for it (``broadcast`` or ``partitioned-hash``).
+    Joined columns are referenced in filters and group-bys with dotted
+    names (``"dim_users.country"``); rows whose key has no match in the
+    dimension table are dropped (inner join).
     """
 
-    table: str  # the replicated dimension table
+    table: str  # the dimension table
     fact_key: str  # join column on the fact table
     dim_key: str  # key column on the dimension table
+    strategy: str = REPLICATED_LOCAL
 
     def __post_init__(self) -> None:
         if not self.table or not self.fact_key or not self.dim_key:
             raise QueryError("join needs table, fact_key and dim_key")
+        if self.strategy not in (REPLICATED_LOCAL, BROADCAST, PARTITIONED_HASH):
+            raise QueryError(f"unknown join strategy: {self.strategy!r}")
 
     def column_of(self, dotted: str) -> Optional[str]:
         """The dimension-table column a dotted reference names (or None)."""
@@ -168,7 +182,8 @@ class Join:
 @dataclass(frozen=True)
 class Query:
     """An OLAP aggregation query against one table (plus optional joins
-    to replicated dimension tables)."""
+    to dimension tables): the one plan value every SQL statement
+    compiles to and the proxy routes."""
 
     table: str
     aggregations: tuple[Aggregation, ...]
@@ -182,6 +197,9 @@ class Query:
     order_by: Optional[str] = None
     descending: bool = True
     limit: Optional[int] = None
+    #: Set when the planner proved the WHERE clause unsatisfiable: the
+    #: answer is zero rows and no node is touched.
+    empty_reason: str = ""
 
     def __post_init__(self) -> None:
         if not self.aggregations:

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cubrick.bricks import DIMENSION_DTYPE, METRIC_DTYPE
 from repro.errors import InvalidTableNameError, SchemaError, TableNotFoundError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cubrick.query import Query
 
 PARTITION_SEPARATOR = "#"
 
@@ -384,6 +388,20 @@ class Catalog:
         if logical != name and logical in self.tables:
             return self.tables[logical]
         raise TableNotFoundError(f"unknown table: {name}") from None
+
+    def versions(self, query: "Query") -> tuple[int, ...]:
+        """``(generation, ingest_generation)`` of every table ``query``
+        reads, fact table first, then its joins in order.
+
+        An answer is only valid at the versions it was computed under:
+        the result cache and the gateway's coalescing key embed these.
+        """
+        info = self.get(query.table)
+        versions = (info.generation, info.ingest_generation)
+        for join in query.joins:
+            joined = self.get(join.table)
+            versions += (joined.generation, joined.ingest_generation)
+        return versions
 
     def drop(self, name: str) -> None:
         if name not in self.tables:

@@ -4,8 +4,11 @@
 :mod:`repro.sql` frontend parses. Its output is ``Query.plan_key``, the
 key of the scheduler's result cache, so it must be deterministic and
 must identify the query: ``deployment.compile_sql(render_query(q)) == q``
-for every fan-out query the planner can emit against the catalog
-(checked by a property test). SQL is compiled elsewhere: every SQL
+for every non-empty query with only replicated joins the planner can
+emit against the catalog (checked by a property test). A join's
+strategy is not printed (the answer does not depend on it); an empty
+plan prints ``FALSE`` as its last WHERE conjunct, so it never shares a
+key with the unfiltered query. SQL is compiled elsewhere: every SQL
 surface goes through :mod:`repro.sql` parse → plan → ``build_physical``.
 
 .. code-block:: sql
@@ -36,7 +39,7 @@ def render_query(query: Query) -> str:
             f" JOIN {join.table} ON {query.table}.{join.fact_key} = "
             f"{join.table}.{join.dim_key}"
         )
-    if query.filters:
+    if query.filters or query.empty_reason:
         clauses = []
         for flt in query.filters:
             if flt.op is FilterOp.EQ:
@@ -52,6 +55,8 @@ def render_query(query: Query) -> str:
             else:
                 values = ", ".join(str(v) for v in flt.values)
                 clauses.append(f"{flt.dimension} IN ({values})")
+        if query.empty_reason:
+            clauses.append("FALSE")
         parts.append(" WHERE " + " AND ".join(clauses))
     if query.group_by:
         parts.append(" GROUP BY " + ", ".join(query.group_by))

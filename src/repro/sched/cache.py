@@ -7,12 +7,15 @@ the cache's one owner: it looks an answer up before admission and
 stores a fresh one after the proxy returns it.
 
 Correctness is by *versioned keys*, not explicit invalidation: a cache
-key includes the table's partitioning generation (bumped by
-re-partitions) and its ingestion generation (bumped by every load and
-by every streaming-loader flush), so any write makes all previously
-cached answers for the table unreachable — they age out of the LRU
-ring. An explicit :meth:`QueryResultCache.invalidate_table` is provided
-for operators who want the memory back immediately.
+key includes, for every table the query reads (the fact table and each
+joined one), its partitioning generation (bumped by re-partitions) and
+its ingestion generation (bumped by every load and by every
+streaming-loader flush) — :meth:`Catalog.versions
+<repro.cubrick.schema.Catalog.versions>` — so any write makes all
+previously cached answers that read the table unreachable — they age
+out of the LRU ring. An explicit
+:meth:`QueryResultCache.invalidate_table` is provided for operators who
+want the memory back immediately.
 
 The normalised plan is the canonical SQL rendering from
 :mod:`repro.cubrick.sql` — two structurally identical queries built
@@ -60,13 +63,15 @@ def plan_key(query: "Query") -> str:
 class CacheEntry:
     """One cached snapshot and, beside it, its encoded response body."""
 
-    __slots__ = ("result", "wire")
+    __slots__ = ("result", "wire", "tables")
 
-    def __init__(self, result: "QueryResult"):
+    def __init__(self, result: "QueryResult", tables: tuple[str, ...] = ()):
         #: The cache's own snapshot: read-only for everyone else.
         self.result = result
         #: Encoded response body, set by the serving tier on first use.
         self.wire: Optional[bytes] = None
+        #: Every table the answer read.
+        self.tables = tables
 
 
 class QueryResultCache:
@@ -77,29 +82,21 @@ class QueryResultCache:
             raise ConfigurationError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        # key -> snapshot entry; key embeds both generations.
+        # (plan, versions) -> snapshot entry.
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def _key(table: str, plan: str, generation: int, ingest_generation: int) -> tuple:
-        return (table, generation, ingest_generation, plan)
-
     def lookup(
-        self,
-        query: "Query",
-        *,
-        generation: int,
-        ingest_generation: int,
+        self, query: "Query", versions: tuple[int, ...]
     ) -> Optional[CacheEntry]:
-        """The entry for this plan at these versions, or None.
+        """The entry for this plan at these table versions, or None.
 
         The entry is the cache's own: callers read ``entry.result`` and
         may fill ``entry.wire``, nothing else.
         """
-        key = self._key(query.table, plan_key(query), generation, ingest_generation)
+        key = (plan_key(query), versions)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -112,9 +109,7 @@ class QueryResultCache:
         self,
         query: "Query",
         result: "QueryResult",
-        *,
-        generation: int,
-        ingest_generation: int,
+        versions: tuple[int, ...],
     ) -> None:
         """Cache one result snapshot (full, non-degraded answers only).
 
@@ -124,16 +119,21 @@ class QueryResultCache:
         """
         if result.metadata.get("partial") or result.metadata.get("degraded"):
             return
-        key = self._key(query.table, plan_key(query), generation, ingest_generation)
-        self._entries[key] = CacheEntry(self._copy(result))
+        key = (plan_key(query), versions)
+        tables = (query.table,) + tuple(j.table for j in query.joins)
+        self._entries[key] = CacheEntry(self._copy(result), tables)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
     def invalidate_table(self, table: str) -> int:
-        """Drop every cached entry for ``table``; returns entries dropped."""
-        stale = [key for key in self._entries if key[0] == table]
+        """Drop every cached entry that read ``table``; returns entries
+        dropped."""
+        stale = [
+            key for key, entry in self._entries.items()
+            if table in entry.tables
+        ]
         for key in stale:
             del self._entries[key]
         self.stats.invalidations += len(stale)

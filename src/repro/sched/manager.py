@@ -255,17 +255,13 @@ class WorkloadManager:
 
         if self.cache is not None:
             try:
-                info = self.deployment.catalog.get(query.table)
+                versions = self.deployment.catalog.versions(query)
             except TableNotFoundError:
                 # Not a lookup: the queued job fails and resolves the
                 # record, exactly as without a cache.
                 pass
             else:
-                entry = self.cache.lookup(
-                    query,
-                    generation=info.generation,
-                    ingest_generation=info.ingest_generation,
-                )
+                entry = self.cache.lookup(query, versions)
                 if entry is not None:
                     record.outcome = "cache_hit"
                     record.cache_entry = entry
@@ -343,11 +339,9 @@ class WorkloadManager:
             versions = None
             if self.cache is not None:
                 try:
-                    info = self.deployment.catalog.get(query.table)
+                    versions = self.deployment.catalog.versions(query)
                 except TableNotFoundError:
                     pass  # the proxy's to log and raise
-                else:
-                    versions = (info.generation, info.ingest_generation)
             try:
                 result = self.deployment.proxy.submit(query)
             except Exception as exc:
@@ -356,10 +350,7 @@ class WorkloadManager:
                 raise
             record.result = result
             if versions is not None:
-                self.cache.put(
-                    query, result,
-                    generation=versions[0], ingest_generation=versions[1],
-                )
+                self.cache.put(query, result, versions)
             latency = float(result.metadata.get("latency_total", 0.0))
             root.set_duration(queue_wait + latency)
             root.annotate(outcome="ok", queue_wait=queue_wait)

@@ -43,8 +43,8 @@ Backpressure and loss
   catch up, then is disconnected (its request was still processed and
   its response counted as dropped).
 * **Coalescing** — identical in-flight queries (same canonical plan,
-  same table generations, same tenant and priority) attach to the
-  leader's execution instead of re-running it.
+  same versions of every table read, same tenant and priority) attach
+  to the leader's execution instead of re-running it.
 * **Graceful drain** — on SIGTERM (or :meth:`ServeGateway.drain`) the
   listener closes, new frames get ``shutting_down`` errors, every
   accepted in-flight request runs to completion with the pump alive,
@@ -167,8 +167,8 @@ class ServeGateway:
         self._draining = False
         self._stopped = asyncio.Event()
         self._pending = 0
-        #: Coalescing map: (plan, generation, ingest_generation, tenant,
-        #: priority) → the leader's pending JobRecord future.
+        #: Coalescing map: (plan, table versions, tenant, priority) → the
+        #: leader's pending JobRecord future.
         self._inflight_queries: dict[tuple, asyncio.Future] = {}
         #: JobRecord.index → (coalescing key, future) of every pending
         #: submission; ``_resolve`` settles both maps in one step.
@@ -499,7 +499,7 @@ class ServeGateway:
                     rid, "bad_request", "sql op needs an sql string"
                 )
             query = self.deployment.compile_sql(statement)
-            info = self.deployment.catalog.get(query.table)
+            versions = self.deployment.catalog.versions(query)
         except SqlError as exc:
             return error_frame(rid, "sql", str(exc), context=exc.context())
         except TableNotFoundError as exc:
@@ -511,7 +511,7 @@ class ServeGateway:
         # With nothing in flight there is no key worth building yet.
         key = None
         if self._inflight_queries:
-            key = _coalescing_key(query, info, tenant, priority)
+            key = _coalescing_key(query, versions, tenant, priority)
             leader = self._inflight_queries.get(key)
             if leader is not None:
                 self.stats.coalesced += 1
@@ -525,7 +525,7 @@ class ServeGateway:
         # same event loop, so ``_resolve`` may settle the future directly.
         future = self._loop.create_future()
         if key is None:
-            key = _coalescing_key(query, info, tenant, priority)
+            key = _coalescing_key(query, versions, tenant, priority)
         self._inflight_queries[key] = future
         self._waiters[record.index] = (key, future)
         self._arm_pump()
@@ -613,9 +613,8 @@ class ServeGateway:
         return out
 
 
-def _coalescing_key(query: Query, info, tenant, priority) -> tuple:
-    """Generations in the key guarantee a request arriving after a load
-    can never attach to a pre-load execution."""
-    return (
-        plan_key(query), info.generation, info.ingest_generation, tenant, priority
-    )
+def _coalescing_key(query: Query, versions, tenant, priority) -> tuple:
+    """The versions of every table the query reads are in the key: a
+    request arriving after a load can never attach to a pre-load
+    execution."""
+    return (plan_key(query), versions, tenant, priority)

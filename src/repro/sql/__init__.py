@@ -9,16 +9,17 @@ Three stages, each importable on its own:
   name resolution and the ordered rewrite-rule pipeline (predicate
   normalisation, join-strategy selection, pushdown, pruning,
   partial-aggregation placement).
-* :mod:`repro.sql.physical` / :mod:`repro.sql.explain` — lowering onto
-  the distributed execution machinery (proxy fan-out, broadcast and
-  partitioned-hash joins) and deterministic EXPLAIN rendering.
+* :mod:`repro.sql.physical` / :mod:`repro.sql.explain` — the plan's
+  execution shape (proxy fan-out, broadcast and partitioned-hash joins)
+  and deterministic EXPLAIN rendering. The plan itself is a
+  :class:`~repro.cubrick.query.Query`, which the Cubrick proxy routes.
 """
 
 from repro.errors import SqlError
 from repro.sql.ast import SelectStatement, unparse
 from repro.sql.explain import explain, render_explain
 from repro.sql.parser import parse
-from repro.sql.physical import PhysicalPlan, build_physical, execute_plan
+from repro.sql.physical import PhysicalPlan, build_physical
 from repro.sql.planner import LogicalPlan, PlannerContext, plan
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "SelectStatement",
     "SqlError",
     "build_physical",
-    "execute_plan",
     "explain",
     "parse",
     "plan",

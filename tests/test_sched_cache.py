@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.deployment import CubrickDeployment, DeploymentConfig
 from repro.cubrick.loader import StreamingLoader
-from repro.cubrick.query import AggFunc, Aggregation, Query, QueryResult
+from repro.cubrick.query import AggFunc, Aggregation, Join, Query, QueryResult
+from repro.cubrick.schema import Dimension, Metric, TableSchema
 from repro.errors import ConfigurationError
 from repro.sched import SchedPolicy, WorkloadManager
 from repro.sched.cache import CACHE_HIT_LATENCY, QueryResultCache, plan_key
@@ -31,9 +32,9 @@ def make_result(value=42.0, **metadata):
 def test_round_trip_and_stats():
     cache = QueryResultCache(capacity=4)
     query = make_query()
-    assert cache.lookup(query, generation=0, ingest_generation=0) is None
-    cache.put(query, make_result(), generation=0, ingest_generation=0)
-    hit = cache.lookup(query, generation=0, ingest_generation=0)
+    assert cache.lookup(query, (0, 0)) is None
+    cache.put(query, make_result(), (0, 0))
+    hit = cache.lookup(query, (0, 0))
     assert hit is not None
     assert hit.result.rows == [(42.0,)]
     assert cache.stats.hits == 1
@@ -44,22 +45,22 @@ def test_round_trip_and_stats():
 def test_version_bump_makes_old_entries_unreachable():
     cache = QueryResultCache(capacity=4)
     query = make_query()
-    cache.put(query, make_result(), generation=0, ingest_generation=0)
+    cache.put(query, make_result(), (0, 0))
     # Any write bumps a generation; the old key never matches again.
-    assert cache.lookup(query, generation=0, ingest_generation=1) is None
-    assert cache.lookup(query, generation=1, ingest_generation=0) is None
-    assert cache.lookup(query, generation=0, ingest_generation=0) is not None
+    assert cache.lookup(query, (0, 1)) is None
+    assert cache.lookup(query, (1, 0)) is None
+    assert cache.lookup(query, (0, 0)) is not None
 
 
 def test_stored_snapshot_is_independent_of_the_callers_result():
     cache = QueryResultCache(capacity=4)
     query = make_query()
     result = make_result(latency=0.5)
-    cache.put(query, result, generation=0, ingest_generation=0)
+    cache.put(query, result, (0, 0))
     # The caller goes on using (and annotating) its own answer.
     result.rows.append(("corruption",))
     result.metadata["latency"] = 99.0
-    entry = cache.lookup(query, generation=0, ingest_generation=0)
+    entry = cache.lookup(query, (0, 0))
     assert entry.result.rows == [(42.0,)]
     assert entry.result.metadata["latency"] == 0.5
 
@@ -67,9 +68,9 @@ def test_stored_snapshot_is_independent_of_the_callers_result():
 def test_partial_and_degraded_results_are_refused():
     cache = QueryResultCache(capacity=4)
     query = make_query()
-    cache.put(query, make_result(partial=True), generation=0, ingest_generation=0)
-    cache.put(query, make_result(degraded=True), generation=0, ingest_generation=0)
-    assert cache.lookup(query, generation=0, ingest_generation=0) is None
+    cache.put(query, make_result(partial=True), (0, 0))
+    cache.put(query, make_result(degraded=True), (0, 0))
+    assert cache.lookup(query, (0, 0)) is None
     assert len(cache) == 0
 
 
@@ -78,23 +79,36 @@ def test_lru_eviction_prefers_recently_used():
     a = make_query(metric="clicks")
     b = Query.build("events", [Aggregation(AggFunc.MAX, "clicks")])
     c = Query.build("events", [Aggregation(AggFunc.COUNT, "clicks")])
-    cache.put(a, make_result(), generation=0, ingest_generation=0)
-    cache.put(b, make_result(), generation=0, ingest_generation=0)
-    cache.lookup(a, generation=0, ingest_generation=0)  # a is now most recent
-    cache.put(c, make_result(), generation=0, ingest_generation=0)  # evicts b
+    cache.put(a, make_result(), (0, 0))
+    cache.put(b, make_result(), (0, 0))
+    cache.lookup(a, (0, 0))  # a is now most recent
+    cache.put(c, make_result(), (0, 0))  # evicts b
     assert cache.stats.evictions == 1
-    assert cache.lookup(a, generation=0, ingest_generation=0) is not None
-    assert cache.lookup(b, generation=0, ingest_generation=0) is None
+    assert cache.lookup(a, (0, 0)) is not None
+    assert cache.lookup(b, (0, 0)) is None
 
 
 def test_invalidate_table_drops_only_that_table():
     cache = QueryResultCache(capacity=8)
     events = make_query("events")
-    cache.put(events, make_result(), generation=0, ingest_generation=0)
+    cache.put(events, make_result(), (0, 0))
     assert cache.invalidate_table("events") == 1
     assert cache.invalidate_table("events") == 0
     assert cache.stats.invalidations == 1
-    assert cache.lookup(events, generation=0, ingest_generation=0) is None
+    assert cache.lookup(events, (0, 0)) is None
+
+
+def test_invalidate_table_drops_entries_that_joined_it():
+    cache = QueryResultCache(capacity=8)
+    joined = Query.build(
+        "events", [Aggregation(AggFunc.SUM, "clicks")],
+        joins=[Join("dim_geo", "country", "country")],
+    )
+    cache.put(joined, make_result(), (0, 0, 0, 0))
+    cache.put(make_query(), make_result(), (0, 0))
+    assert cache.invalidate_table("dim_geo") == 1
+    assert cache.lookup(joined, (0, 0, 0, 0)) is None
+    assert cache.lookup(make_query(), (0, 0)) is not None
 
 
 def test_plan_key_is_structural():
@@ -171,3 +185,33 @@ def test_streaming_flush_invalidates_cached_answers(
     # The flush announced itself as a structured event.
     kinds = [e["kind"] for e in deployment.obs.events.tail()]
     assert "cubrick.loader.flush" in kinds
+
+
+def test_load_into_joined_table_invalidates_cached_join(cached_manager):
+    deployment = cached_manager.deployment
+    deployment.create_table(TableSchema.build(
+        "dim_geo",
+        dimensions=[Dimension("country", 100, range_size=25),
+                    Dimension("region", 4, range_size=1)],
+        metrics=[Metric("population")],
+    ), replicated=True)
+
+    def load_countries(countries):
+        deployment.load("dim_geo", [
+            {"country": c, "region": c % 4, "population": 1.0}
+            for c in countries
+        ])
+
+    load_countries(range(50))
+    query = deployment.compile_sql(
+        "SELECT count(*) FROM events "
+        "JOIN dim_geo ON events.country = dim_geo.country"
+    )
+    first = run_query(cached_manager, query)
+    assert run_query(cached_manager, query).outcome == "cache_hit"
+    load_countries(range(50, 100))
+    fresh = run_query(cached_manager, query)
+    # The load moved dim_geo's ingest generation, which the key embeds.
+    assert fresh.outcome == "ok"
+    assert first.result.rows[0][0] < 400
+    assert fresh.result.rows[0][0] == 400

@@ -112,15 +112,19 @@ def test_statement_cache_is_bounded_and_skips_failures():
     assert deployment.compile_sql(statement) is query
     assert query.plan_key == statement
 
-    # A statement that does not compile, or plans as something other
-    # than a fan-out, raises every time, uncached.
+    # A statement that does not compile raises every time, uncached.
     before = deployment._statement_cache.cache_info().currsize
-    for bad in ("SELEKT sum(clicks) FROM events",
-                "SELECT sum(clicks) FROM events WHERE day = 99"):
-        for __ in range(2):
-            with pytest.raises(SqlError):
-                deployment.compile_sql(bad)
+    for __ in range(2):
+        with pytest.raises(SqlError):
+            deployment.compile_sql("SELEKT sum(clicks) FROM events")
     assert deployment._statement_cache.cache_info().currsize == before
+
+    # An empty plan is a plan: cached, and keyed apart from the
+    # unfiltered statement.
+    empty = deployment.compile_sql(f"{statement} WHERE day = 99")
+    assert deployment.compile_sql(f"{statement} WHERE day = 99") is empty
+    assert "always false" in empty.empty_reason
+    assert empty.plan_key == f"{statement} WHERE FALSE"
 
     # Bounded: a stream of distinct statements evicts the oldest.
     for limit in range(1, STATEMENT_CACHE_SIZE + 2):

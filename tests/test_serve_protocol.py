@@ -340,7 +340,7 @@ def test_sql_error_is_typed_and_connection_survives():
         ({"op": "sql", "sql": "SELECT day, count(*) FROM ghosts GROUP BY day",
           "tenant": "t0"}, "table_not_found"),
         ({"op": "sql", "sql": "SELECT sum(nope) FROM events"}, "sql"),
-        ({"op": "sql", "sql": "SELECT count(*) FROM events WHERE day = 99"},
+        ({"op": "sql", "sql": "SELECT count(*) FROM events WHERE clicks = 5"},
          "sql"),
         ({"op": "query", "table": "events",
           "aggregations": [{"func": "sum", "metric": "clicks"}]},
@@ -434,27 +434,53 @@ def test_or_within_a_column_is_answered_on_the_wire():
     run(check())
 
 
-@pytest.mark.parametrize(
-    "statement, plan",
-    [
-        ("SELECT count(*) FROM events WHERE day = 99", "plan is empty"),
-        ("SELECT count(*) FROM events JOIN dim_days_sharded "
-         "ON events.day = dim_days_sharded.day", "plan is broadcast-join"),
-    ],
+_SHARDED_JOIN = (
+    "SELECT dim_days_sharded.season, count(*) FROM events "
+    "JOIN dim_days_sharded ON events.day = dim_days_sharded.day "
+    "GROUP BY dim_days_sharded.season"
 )
-def test_unschedulable_plans_answer_sql_naming_the_plan(statement, plan):
+
+#: shape -> (statement, the EXPLAIN plan kind it must take).
+WIRE_SHAPES = {
+    "empty": ("SELECT count(*) FROM events WHERE day = 99", "empty"),
+    "replicated-local": (
+        "SELECT dim_days.season, count(*) FROM events "
+        "JOIN dim_days ON events.day = dim_days.day GROUP BY dim_days.season",
+        "fanout",
+    ),
+    "broadcast": (_SHARDED_JOIN, "broadcast-join"),
+    "partitioned-hash": (_SHARDED_JOIN, "hash-join"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WIRE_SHAPES))
+def test_every_plan_kind_answers_on_the_wire(shape):
+    statement, kind = WIRE_SHAPES[shape]
+
     async def check():
         gateway = await started_gateway_with_dimensions()
+        deployment = gateway.deployment
         try:
-            records = len(gateway.manager.records)
             async with ServeClient(*gateway.address) as client:
-                with pytest.raises(ServeError) as excinfo:
+                if shape == "partitioned-hash":
+                    # Answer it as a broadcast join first, then load the
+                    # dimension table past the broadcast threshold: the
+                    # cached plan is recompiled, as EXPLAIN plans it.
                     await client.sql(statement)
-            assert excinfo.value.code == "sql"
-            assert plan in excinfo.value.error["message"]
-            assert len(gateway.manager.records) == records
-            # deployment.sql still answers it.
-            gateway.deployment.sql(statement)
+                    deployment.load("dim_days_sharded", [
+                        {"day": d % JOIN_DAYS, "season": d % JOIN_DAYS % 4}
+                        for d in range(10_001)
+                    ])
+                    deployment.simulator.run_until(
+                        deployment.simulator.now + 30.0
+                    )
+                assert f"[{kind}]" in deployment.explain(statement)
+                wire = await client.sql(statement)
+            expected = deployment.sql(statement)
+            assert wire["rows"] == [list(r) for r in expected.rows]
+            assert bool(wire["rows"]) == (kind != "empty")
+            strategies = expected.metadata.get("join_strategies", {})
+            assert shape in list(strategies.values()) + ["empty"]
         finally:
             await gateway.close()
 

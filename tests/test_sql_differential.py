@@ -21,7 +21,7 @@ from repro.cubrick.query import (
     Query,
 )
 from repro.cubrick.schema import Dimension, Metric, TableSchema
-from repro.sql import build_physical, execute_plan, parse, plan
+from repro.sql import build_physical, parse, plan
 
 USERS = 2000  # dict-encoded, high-cardinality entity dimension
 LOADED_USERS = 1500  # rest miss the dim table: inner joins drop them
@@ -103,13 +103,14 @@ def star() -> CubrickDeployment:
 
 def run_sql(deployment, statement, *, broadcast_threshold=None,
             optimize=True):
-    """Execute through the SQL pipeline with planner knobs exposed."""
+    """Compile with planner knobs exposed, then submit the compiled
+    :class:`Query` through the proxy."""
     context = deployment.planner_context(optimize=optimize)
     if broadcast_threshold is not None:
         context.broadcast_threshold = broadcast_threshold
     logical = plan(parse(statement), context, source=statement)
     physical = build_physical(logical)
-    result = execute_plan(physical, deployment.proxy)
+    result = deployment.proxy.submit(physical.query)
     return result, physical
 
 

@@ -3,14 +3,14 @@
 The differential and property suites prove end-to-end equivalence;
 this file pins the stage-by-stage contracts — token positions, AST
 shapes, typed errors with caret positions, interval compilation and
-rewrite-rule behaviour.
+rewrite-rule behaviour — and the proxy routing a compiled join gets.
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 
+from repro.core.deployment import CubrickDeployment, DeploymentConfig
 from repro.cubrick.query import FilterOp
 from repro.cubrick.schema import Catalog, Dimension, Metric, TableSchema
 from repro.errors import (
@@ -21,7 +21,6 @@ from repro.errors import (
 )
 from repro.sql import ast, parse, plan, unparse
 from repro.sql.lexer import EOF, KEYWORD, NAME, NUMBER, SYMBOL, tokenize
-from repro.sql.physical import _on_some_region
 from repro.sql.planner import PlannerContext
 
 
@@ -470,59 +469,176 @@ class TestPlannerEdgeCases:
             plan(bad, make_context())
 
 
-def _stub_proxy(regions):
-    """regions: [(name, available, outcome)] where outcome is a value
-    to return or an exception for the per-region callback to raise."""
-    proxy = SimpleNamespace(
-        region_preference=[name for name, __, __unused in regions],
-        coordinators={},
+JOIN_SQL = (
+    "SELECT dim_users.tier, count(*) FROM events "
+    "JOIN dim_users ON events.user_id = dim_users.user_id "
+    "GROUP BY dim_users.tier"
+)
+
+
+@pytest.fixture
+def star_fleet():
+    """Two regions: a sharded ``events`` fact and a sharded ``dim_users``
+    (48 of 64 users loaded, so the inner join drops some fact rows);
+    returns the deployment and the join's expected rows."""
+    deployment = CubrickDeployment(
+        DeploymentConfig(seed=5, regions=2, racks_per_region=2,
+                         hosts_per_rack=3)
     )
-    for name, available, outcome in regions:
-        region_obj = SimpleNamespace(available=available)
-        cluster = SimpleNamespace(region=lambda n, r=region_obj: r)
-        proxy.coordinators[name] = SimpleNamespace(
-            sm=SimpleNamespace(cluster=cluster), outcome=outcome,
-        )
-    return proxy
+    deployment.create_table(TableSchema.build(
+        "events",
+        dimensions=[Dimension("day", 8, range_size=2),
+                    Dimension("user_id", 64, range_size=8)],
+        metrics=[Metric("clicks")],
+    ))
+    deployment.create_table(TableSchema.build(
+        "dim_users",
+        dimensions=[Dimension("user_id", 64, range_size=8),
+                    Dimension("tier", 4, range_size=1)],
+        metrics=[Metric("weight")],
+    ), num_partitions=2)
+    events = [{"day": i % 8, "user_id": (i * 7) % 64, "clicks": 1.0}
+              for i in range(300)]
+    deployment.load("events", events)
+    deployment.load("dim_users", [
+        {"user_id": u, "tier": u % 4, "weight": 1.0} for u in range(48)
+    ])
+    deployment.simulator.run_until(30.0)
+    counts: dict[int, int] = {}
+    for row in events:
+        if row["user_id"] < 48:
+            tier = row["user_id"] % 4
+            counts[tier] = counts.get(tier, 0) + 1
+    expected = [(tier, float(n)) for tier, n in sorted(counts.items())]
+    return deployment, expected
 
 
-def _run_stub(coordinator):
-    if isinstance(coordinator.outcome, Exception):
-        raise coordinator.outcome
-    return coordinator.outcome
+def _join(deployment):
+    query = deployment.compile_sql(JOIN_SQL)
+    assert [j.strategy for j in query.joins] == ["broadcast"]
+    return query
+
+
+def _dim_host(deployment, region):
+    """A host holding a ``dim_users`` partition in ``region``."""
+    hosts = deployment.coordinators[region].partition_hosts("dim_users")
+    return sorted(hosts)[0]
 
 
 class TestRegionFallback:
-    """The join executors' region routing (physical._on_some_region)."""
+    """A compiled join routes through the proxy's attempt loop."""
 
-    def test_unavailable_region_skipped(self):
-        proxy = _stub_proxy([("r0", False, "a"), ("r1", True, "b")])
-        assert _on_some_region(proxy, _run_stub) == "b"
+    def test_unavailable_region_skipped(self, star_fleet):
+        deployment, expected = star_fleet
+        deployment.cluster.set_region_available("region0", False)
+        result = deployment.proxy.submit(_join(deployment))
+        assert result.metadata["region"] == "region1"
+        assert sorted(result.rows) == expected
 
-    def test_retryable_failure_falls_through(self):
-        proxy = _stub_proxy([
-            ("r0", True, QueryFailedError("boom", retryable=True)),
-            ("r1", True, "ok"),
-        ])
-        assert _on_some_region(proxy, _run_stub) == "ok"
+    def test_retryable_failure_falls_through(self, star_fleet):
+        deployment, expected = star_fleet
+        victim = _dim_host(deployment, "region0")
+        deployment.cluster.host(victim).fail(permanent=False)
+        result = deployment.proxy.submit(_join(deployment))
+        assert result.metadata["region"] == "region1"
+        assert result.metadata["attempts"] == 2
+        assert sorted(result.rows) == expected
 
-    def test_non_retryable_failure_raises_immediately(self):
-        proxy = _stub_proxy([
-            ("r0", True, QueryFailedError("fatal", retryable=False)),
-            ("r1", True, "never reached"),
-        ])
+    def test_non_retryable_failure_raises_immediately(
+        self, star_fleet, monkeypatch
+    ):
+        deployment, __ = star_fleet
+
+        def fatal(*args, **kwargs):
+            raise QueryFailedError("fatal", region="region0",
+                                   retryable=False)
+
+        monkeypatch.setattr(
+            deployment.coordinators["region0"], "collect_columns", fatal
+        )
+        never = deployment.coordinators["region1"]
         with pytest.raises(QueryFailedError, match="fatal"):
-            _on_some_region(proxy, _run_stub)
+            deployment.proxy.submit(_join(deployment))
+        assert never.executions == []
 
-    def test_all_regions_failing_raises_last_error(self):
-        proxy = _stub_proxy([
-            ("r0", True, QueryFailedError("first")),
-            ("r1", True, QueryFailedError("second")),
-        ])
-        with pytest.raises(QueryFailedError, match="second"):
-            _on_some_region(proxy, _run_stub)
+    def test_all_regions_failing_raises_last_error(self, star_fleet):
+        deployment, __ = star_fleet
+        for region in ("region0", "region1"):
+            victim = _dim_host(deployment, region)
+            deployment.cluster.host(victim).fail(permanent=False)
+        with pytest.raises(QueryFailedError) as excinfo:
+            deployment.proxy.submit(_join(deployment))
+        assert excinfo.value.region == "region1"
 
-    def test_all_regions_unavailable(self):
-        proxy = _stub_proxy([("r0", False, "a"), ("r1", False, "b")])
+    def test_all_regions_unavailable(self, star_fleet):
+        deployment, __ = star_fleet
+        for region in ("region0", "region1"):
+            deployment.cluster.set_region_available(region, False)
         with pytest.raises(RegionUnavailableError):
-            _on_some_region(proxy, _run_stub)
+            deployment.proxy.submit(_join(deployment))
+
+
+class TestJoinThroughProxy:
+    """What a join gets from the proxy that a fan-out already had."""
+
+    def test_failing_host_is_blacklisted(self, star_fleet):
+        deployment, __ = star_fleet
+        victim = _dim_host(deployment, "region0")
+        deployment.cluster.host(victim).fail(permanent=False)
+        deployment.proxy.submit(_join(deployment))
+        assert deployment.proxy.is_blacklisted(victim)
+
+    def test_join_is_one_query_log_entry(self, star_fleet):
+        deployment, __ = star_fleet
+        proxy = deployment.proxy
+        ok = deployment.obs.metrics.counter("cubrick.proxy.queries",
+                                            outcome="ok")
+        logged, answered = len(proxy.query_log), ok.value
+        deployment.sql(JOIN_SQL)
+        assert len(proxy.query_log) == logged + 1
+        assert proxy.query_log[-1].succeeded
+        assert ok.value == answered + 1
+
+    def test_one_root_span_over_collect_and_scans(self, star_fleet):
+        deployment, __ = star_fleet
+        tracer = deployment.obs.tracer
+        before = tracer.finished_traces
+        deployment.sql(JOIN_SQL)
+        assert tracer.finished_traces == before + 1
+        root = tracer.recent[-1]
+        assert root.name == "cubrick.proxy.query"
+        names = [span.name for span in root.walk()]
+        assert "cubrick.coordinator.collect" in names
+        assert "cubrick.node.scan" in names
+        collect = next(s for s in root.walk()
+                       if s.name == "cubrick.coordinator.collect")
+        scans = [s for s in root.walk() if s.name == "cubrick.node.scan"]
+        # The fact scan starts once the dimension side is collected.
+        assert min(s.start for s in scans) >= collect.end
+
+    def test_deadline_hedges_it(self, star_fleet):
+        deployment, expected = star_fleet
+        deployment.coordinators["region0"].service_time_hook = (
+            lambda host, service_time: service_time + 5.0
+        )
+        result = deployment.sql(JOIN_SQL, deadline=1.0)
+        assert result.metadata["region"] == "region1"
+        assert result.metadata["timeouts"] == 1
+        assert result.metadata["latency_total"] > 1.0
+        assert sorted(result.rows) == expected
+        with pytest.raises(QueryFailedError, match="deadline"):
+            deployment.sql(JOIN_SQL, deadline=1e-6)
+
+    def test_partial_mode_never_drops_dimension_rows(self, star_fleet):
+        deployment, expected = star_fleet
+        victim = _dim_host(deployment, "region0")
+        deployment.cluster.host(victim).fail(permanent=False)
+        result = deployment.sql(JOIN_SQL, allow_partial=True)
+        assert result.metadata["region"] == "region1"
+        assert sorted(result.rows) == expected
+        # With the dimension side down everywhere there is no answer,
+        # rather than one missing dimension matches.
+        victim = _dim_host(deployment, "region1")
+        deployment.cluster.host(victim).fail(permanent=False)
+        with pytest.raises(QueryFailedError):
+            deployment.sql(JOIN_SQL, allow_partial=True)

@@ -21,7 +21,8 @@ from repro.cubrick.sql import render_query
 DOMAIN = 128
 FACT_DIMS = ("day", "country", "user_id")
 METRICS = ("clicks", "cost")
-#: Replicated join tables: fan-out plans, so ``compile_sql`` accepts them.
+#: Replicated join tables: their joins compile to the default
+#: ``replicated-local`` strategy, so the render round-trips exactly.
 DIM_TABLES = {"dim_a": ("key", "attr"), "dim_b": ("key", "group_id")}
 
 
