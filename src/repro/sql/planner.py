@@ -16,7 +16,7 @@ Numeric literals in dimension predicates are truncated to integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cubrick.query import (
@@ -773,10 +773,7 @@ def plan(
         aggregations=logical.aggregations,
         group_by=logical.group_by,
         filters=logical.filters,
-        joins=tuple(
-            replace(j, strategy=logical.join_strategies[j.table])
-            for j in logical.joins
-        ),
+        joins=logical.joins,
         having=logical.having,
         order_by=logical.order_by,
         descending=logical.descending,

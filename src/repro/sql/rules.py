@@ -11,6 +11,7 @@ annotations).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.cubrick.query import Filter, FilterOp, kernel_family
@@ -95,7 +96,8 @@ class JoinStrategySelection:
     fact side fans out grouped by the join key and the coordinator
     joins pre-finalize partials. With two or more sharded joins the
     hash path's single-key regrouping does not apply, so all of them
-    broadcast.
+    broadcast. Each join of the plan carries its strategy
+    (``Join.strategy``) from here on.
     """
 
     name = "join-strategy"
@@ -142,6 +144,10 @@ class JoinStrategySelection:
                     f"{table}: partitioned-hash ({rows} rows > "
                     f"{plan.context.broadcast_threshold} threshold)"
                 )
+        plan.joins = tuple(
+            replace(j, strategy=plan.join_strategies[j.table])
+            for j in plan.joins
+        )
         return notes
 
 

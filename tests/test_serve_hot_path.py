@@ -155,6 +155,36 @@ def test_statement_cache_replans_after_the_schema_changes():
     assert renamed is not cached and renamed.aggregations[0].metric == "taps"
 
 
+def test_statement_cache_replans_a_join_once_its_dimension_grows():
+    deployment = build_serving_deployment(0).deployment
+    deployment.create_table(TableSchema.build(
+        "dim_days", [Dimension("day", 30), Dimension("season", 4)], []
+    ), num_partitions=2)
+
+    def load_days(count):
+        deployment.load("dim_days", [
+            {"day": d % 30, "season": d % 4} for d in range(count)
+        ])
+
+    load_days(30)
+    statement = (
+        "SELECT count(*) FROM events JOIN dim_days "
+        "ON events.day = dim_days.day"
+    )
+    small = deployment.compile_sql(statement)
+    assert small.joins[0].strategy == "broadcast"
+    assert deployment.compile_sql(statement) is small
+    # Past the broadcast threshold the strategy's row count is stale:
+    # the cached plan is recompiled to what EXPLAIN now plans.
+    load_days(10_001)
+    large = deployment.compile_sql(statement)
+    assert large.joins[0].strategy == "partitioned-hash"
+    assert "[hash-join]" in deployment.explain(statement)
+    assert deployment.compile_sql(statement) is large
+    # The strategy is not part of the plan key: the answer is the same.
+    assert large.plan_key == small.plan_key
+
+
 def test_statement_cache_never_hides_a_dropped_table():
     async def check():
         gateway = await started_gateway()
