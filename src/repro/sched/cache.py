@@ -10,10 +10,10 @@ Correctness is by *versioned keys*, not explicit invalidation: a cache
 key includes, for every table the query reads (the fact table and each
 joined one), its partitioning generation (bumped by re-partitions) and
 its ingestion generation (bumped by every load and by every
-streaming-loader flush) — :meth:`Catalog.versions
-<repro.cubrick.schema.Catalog.versions>` — so any write makes all
-previously cached answers that read the table unreachable — they age
-out of the LRU ring. An explicit
+streaming-loader flush), as :meth:`Catalog.versions
+<repro.cubrick.schema.Catalog.versions>` reports them. Any write makes
+all previously cached answers that read the table unreachable — they
+age out of the LRU ring. An explicit
 :meth:`QueryResultCache.invalidate_table` is provided for operators who
 want the memory back immediately.
 
@@ -65,7 +65,7 @@ class CacheEntry:
 
     __slots__ = ("result", "wire", "tables")
 
-    def __init__(self, result: "QueryResult", tables: tuple[str, ...] = ()):
+    def __init__(self, result: "QueryResult", tables: tuple[str, ...]):
         #: The cache's own snapshot: read-only for everyone else.
         self.result = result
         #: Encoded response body, set by the serving tier on first use.
