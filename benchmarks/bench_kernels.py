@@ -45,7 +45,7 @@ from repro.cubrick.query import AggFunc  # noqa: E402
 
 from conftest import report, report_json  # noqa: E402
 
-#: Rows per synthetic brick scan (a large brick's worth).
+#: Rows per synthetic partition scan.
 ROWS = 50_000
 #: Rows / key cardinality of the high-cardinality family (~87k groups).
 HC_ROWS = 200_000
@@ -150,11 +150,11 @@ def legacy_scan(key_columns: list[np.ndarray], values: np.ndarray,
 def kernel_block(key_columns: list, values, func: AggFunc):
     """The engine's scan hot path: key encoding + one array-kernel pass.
 
-    This is exactly what ``PartitionStorage._scan_brick`` runs per brick
+    This is exactly what ``PartitionStorage.execute`` runs per partition
     — the output stays in array-block form (``accumulate_block``), so
     this is the timed region. ``key_columns`` entries (and ``values``
     for COUNT_DISTINCT) may be :class:`EncodedColumn` — the
-    brick-dictionary fast path.
+    partition-dictionary fast path.
     """
     group_idx, unique_keys = encode_group_keys(key_columns)
     n_groups = len(unique_keys)
@@ -199,7 +199,7 @@ def _time(fn) -> float:
 
 
 def _encode_load_time(column: np.ndarray) -> EncodedColumn:
-    """Per-brick dictionary the storage layer builds at load time."""
+    """Partition dictionary the storage layer builds once per scan view."""
     dictionary, codes = np.unique(column, return_inverse=True)
     return EncodedColumn(codes.astype(np.int64), dictionary)
 
@@ -210,8 +210,8 @@ def _case_table() -> list[tuple]:
     columns = make_columns(ROWS)
     values = columns["value"]
     # Entity (cardinality 1024) crosses the dict-encode threshold, so
-    # bricks hand the scan dense codes: the "after" uses them, like the
-    # real scan path does. The dictionary is built once at load time.
+    # partitions hand the scan dense codes: the "after" uses them, like
+    # the real scan path does. The dictionary is built once per view.
     entity_encoded = _encode_load_time(columns["entity"])
     cases = []
     for func in AggFunc:
@@ -229,8 +229,8 @@ def _case_table() -> list[tuple]:
         ))
     hc = make_hc_columns(HC_ROWS)
     hc_values = hc["value"]
-    # Load-time dictionary: built once per brick, reused by every scan —
-    # encoding cost sits outside the timed region, like in storage.
+    # Partition dictionary: built once per scan view, reused by every
+    # scan — encoding cost sits outside the timed region, like in storage.
     hc_encoded = _encode_load_time(hc["user"])
     for func in (AggFunc.SUM, AggFunc.MIN, AggFunc.MAX,
                  AggFunc.COUNT_DISTINCT):

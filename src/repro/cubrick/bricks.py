@@ -11,10 +11,18 @@ hottest-first when memory frees up.
 
 Storage is zero-copy: column data lives as a list of sealed numpy
 *chunks* per column. ``append_columns`` appends the caller's arrays
-directly (no ``.tolist()`` round-trip), ``columns()`` concatenates the
-chunks once and caches the result (collapsing the chunk list so repeated
-reads never re-concatenate), and decompression materialises arrays
-straight from the zlib blobs without rebuilding Python list builders.
+directly (no ``.tolist()`` round-trip), and decompression materialises
+arrays straight from the zlib blobs without rebuilding Python list
+builders.
+
+Scans do not read bricks one by one. A partition's :class:`ScanView`
+concatenates every resident brick's chunks once per column, in brick-id
+order, and the bricks' chunks become slices of it, so the rows are held
+once. Bricks stay the unit of hotness, compression and SSD eviction: a
+brick whose in-memory columns change (append, compress, decompress —
+eviction compresses first) tells its partition, which drops the view;
+a compression also makes every other brick copy its slice out, so the
+dropped view's arrays are freed at once.
 
 Compression here is *real*: column arrays are serialised and
 zlib-compressed, so compressed footprints and the compression ratio come
@@ -23,8 +31,10 @@ from actual data, not a constant.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,23 +57,6 @@ class BrickStats:
     evicted: bool = False
     ssd_bytes: int = 0
     io_reads: int = 0
-    #: Columns with a live per-brick dictionary, and their total entries.
-    encoded_columns: int = 0
-    dictionary_entries: int = 0
-
-
-@dataclass
-class _EncodedCache:
-    """A column's per-brick dictionary encoding, plus coverage row count.
-
-    ``rows`` records how many rows the codes cover; appends don't
-    invalidate the cache — the next :meth:`Brick.encoded` read extends
-    it incrementally (union the tail's values into the dictionary, remap
-    the old codes only when the dictionary actually grew)."""
-
-    codes: np.ndarray
-    dictionary: np.ndarray
-    rows: int
 
 
 class Brick:
@@ -76,15 +69,10 @@ class Brick:
     """
 
     def __init__(self, brick_id: int, dimension_names: tuple[str, ...],
-                 metric_names: tuple[str, ...],
-                 encoded_dimensions: tuple[str, ...] = ()):
+                 metric_names: tuple[str, ...]):
         self.brick_id = brick_id
         self.dimension_names = dimension_names
         self.metric_names = metric_names
-        #: Dimensions that carry a per-brick dictionary (high-cardinality
-        #: entity columns — see ``TableSchema.encoded_dimension_names``).
-        self.encoded_dimensions = tuple(encoded_dimensions)
-        self._encoded: dict[str, _EncodedCache] = {}
         self._column_names = dimension_names + metric_names
         #: Sealed numpy chunks per column.
         self._chunks: dict[str, list[np.ndarray]] = {
@@ -100,6 +88,16 @@ class Brick:
         self._touched_since_decay = False
         #: IOs paid loading this brick back from SSD (gen-3 LB input).
         self.io_reads = 0
+        #: A weak reference to ``callback(released)``, called whenever
+        #: the in-memory columns change; ``released`` is true when the
+        #: brick gave its memory up (compression).
+        self.on_change: weakref.WeakMethod | None = None
+
+    def _changed(self, released: bool) -> None:
+        if self.on_change is not None:
+            callback = self.on_change()
+            if callback is not None:
+                callback(released)
 
     def _dtype_of(self, name: str) -> np.dtype:
         if name in self.dimension_names:
@@ -138,6 +136,7 @@ class Brick:
             )
         self._arrays = None
         self._rows += n
+        self._changed(False)
 
     # ------------------------------------------------------------------
     # Reads
@@ -146,6 +145,11 @@ class Brick:
     @property
     def rows(self) -> int:
         return self._rows
+
+    @property
+    def is_resident(self) -> bool:
+        """Whether the columns are in memory, decompressed."""
+        return self._compressed is None and self._ssd is None
 
     def touch(self) -> None:
         """A query needed this brick: bump its hotness counter."""
@@ -157,7 +161,8 @@ class Brick:
 
         Chunks are concatenated at most once: the chunk list collapses to
         the concatenated array, so repeated reads (and reads after a
-        collapse) are zero-copy until the next append.
+        collapse) are zero-copy until the next append. Inside a built
+        :class:`ScanView` the arrays are slices of the view's columns.
         """
         if self._ssd is not None:
             self._load_from_ssd()
@@ -177,42 +182,6 @@ class Brick:
                 arrays[name] = sealed
             self._arrays = arrays
         return self._arrays
-
-    def encoded(self, name: str) -> EncodedColumn:
-        """The column's per-brick dictionary encoding (built lazily).
-
-        Returns ``EncodedColumn(codes, dictionary)`` with ``dictionary``
-        sorted ascending and ``dictionary[codes]`` reconstructing the
-        raw column. The first read after a load pays one ``np.unique``;
-        subsequent appends extend the cache incrementally: the appended
-        tail's values union into the dictionary, and the old codes remap
-        only when the dictionary actually grew. Compression and SSD
-        eviction drop the cache (it's memory the monitor wants back) —
-        the next scan after decompression rebuilds it.
-        """
-        values = self.columns()[name]
-        cached = self._encoded.get(name)
-        if cached is not None and cached.rows == len(values):
-            return EncodedColumn(cached.codes, cached.dictionary)
-        if cached is None or cached.rows > len(values):
-            dictionary, codes = np.unique(values, return_inverse=True)
-            codes = codes.astype(np.int64)
-        else:
-            tail = values[cached.rows:]
-            old_dict = cached.dictionary
-            new_dict = np.union1d(old_dict, tail)
-            tail_codes = np.searchsorted(new_dict, tail)
-            if len(new_dict) == len(old_dict):
-                dictionary = old_dict
-                codes = np.concatenate([cached.codes, tail_codes])
-            else:
-                remap = np.searchsorted(new_dict, old_dict)
-                dictionary = new_dict
-                codes = np.concatenate(
-                    [remap[cached.codes], tail_codes]
-                )
-        self._encoded[name] = _EncodedCache(codes, dictionary, len(values))
-        return EncodedColumn(codes, dictionary)
 
     # ------------------------------------------------------------------
     # Hotness decay (paper §IV-F2)
@@ -253,7 +222,7 @@ class Brick:
         }
         self._arrays = None
         self._chunks = {name: [] for name in self._column_names}
-        self._encoded = {}
+        self._changed(True)
 
     def _decompress(self) -> None:
         assert self._compressed is not None
@@ -264,8 +233,20 @@ class Brick:
             # and no Python-list rebuild (the old path doubled memory).
             arrays[name] = np.frombuffer(raw, dtype=self._dtype_of(name))
         self._compressed = None
+        self._adopt(arrays)
+        self._changed(False)
+
+    def _adopt(self, arrays: dict[str, np.ndarray]) -> None:
         self._arrays = arrays
         self._chunks = {name: [arr] for name, arr in arrays.items()}
+
+    def detach(self) -> None:
+        """Copy the in-memory rows into arrays of the brick's own (they
+        may be slices of a dropped :class:`ScanView`)."""
+        for name, chunks in self._chunks.items():
+            if chunks:
+                self._chunks[name] = [np.concatenate(chunks)]
+        self._arrays = None
 
     def decompress(self) -> None:
         """Public decompression hook for the memory monitor."""
@@ -355,8 +336,79 @@ class Brick:
             evicted=self.is_evicted,
             ssd_bytes=self.ssd_bytes(),
             io_reads=self.io_reads,
-            encoded_columns=len(self._encoded),
-            dictionary_entries=sum(
-                len(c.dictionary) for c in self._encoded.values()
-            ),
         )
+
+
+class ScanView:
+    """A partition's resident bricks as one set of contiguous columns.
+
+    ``bricks`` are every brick of the partition in id order; each column
+    is one ``np.concatenate`` over the resident bricks' chunks, after
+    which those bricks' arrays are slices of it. Brick ``i`` holds rows
+    ``offsets[i]:offsets[i + 1]`` (none while compressed or evicted) and
+    has bucket coordinates ``coords[i]`` (pruning reads them here, not
+    from the index). Encoded dimensions get one partition-level
+    dictionary each, built on first use (:meth:`encoded`).
+    """
+
+    def __init__(self, bricks: list[Brick], coords: np.ndarray,
+                 dtypes: dict[str, np.dtype]):
+        self.bricks = bricks
+        self.coords = coords
+        resident = [brick for brick in bricks if brick.is_resident]
+        self.offsets = [0, *accumulate(
+            brick.rows if brick.is_resident else 0 for brick in bricks
+        )]
+        self.rows = self.offsets[-1]
+        self.columns = {
+            name: np.concatenate(
+                [chunk for brick in resident for chunk in brick._chunks[name]]
+                or [np.empty(0, dtype=dtype)]
+            )
+            for name, dtype in dtypes.items()
+        }
+        for i, brick in enumerate(bricks):
+            if brick.is_resident:
+                start, end = self.offsets[i], self.offsets[i + 1]
+                brick._adopt({
+                    name: column[start:end]
+                    for name, column in self.columns.items()
+                })
+        self._encoded: dict[str, EncodedColumn] = {}
+
+    def rows_of(self, positions: list[int]) -> slice | np.ndarray:
+        """The rows of the bricks at ``positions`` (ascending, resident).
+
+        Adjacent bricks merge into runs: one run is a zero-copy slice,
+        several become one gather index. Either costs work in proportion
+        to the rows kept, never to the partition.
+        """
+        bounds = self.offsets
+        starts: list[int] = []
+        ends: list[int] = []
+        for i in positions:
+            if ends and ends[-1] == bounds[i]:
+                ends[-1] = bounds[i + 1]
+            else:
+                starts.append(bounds[i])
+                ends.append(bounds[i + 1])
+        if len(starts) <= 1:
+            return slice(starts[0], ends[0]) if starts else slice(0, 0)
+        first = np.array(starts)
+        lengths = np.array(ends) - first
+        before = np.cumsum(lengths) - lengths  # kept rows ahead of each run
+        return np.arange(before[-1] + lengths[-1]) + np.repeat(
+            first - before, lengths
+        )
+
+    def encoded(self, name: str) -> EncodedColumn:
+        """The column's partition-level dictionary encoding: sorted
+        ``dictionary`` with ``dictionary[codes]`` the column's rows."""
+        encoded = self._encoded.get(name)
+        if encoded is None:
+            dictionary, codes = np.unique(
+                self.columns[name], return_inverse=True
+            )
+            encoded = EncodedColumn(codes.astype(np.int64), dictionary)
+            self._encoded[name] = encoded
+        return encoded

@@ -11,7 +11,9 @@ touching the data.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.cubrick.schema import TableSchema
 from repro.errors import QueryError, SchemaError
@@ -28,6 +30,7 @@ class GranularIndex:
         for i in range(len(self._bucket_counts) - 2, -1, -1):
             strides[i] = strides[i + 1] * self._bucket_counts[i + 1]
         self._strides = strides
+        self._axis = {d.name: i for i, d in enumerate(schema.dimensions)}
 
     @property
     def total_bricks(self) -> int:
@@ -47,15 +50,13 @@ class GranularIndex:
             brick_id += dim.bucket_of(int(value)) * stride
         return brick_id
 
-    def bricks_of_columns(self, columns) -> "np.ndarray":
+    def bricks_of_columns(self, columns) -> np.ndarray:
         """Vectorised :meth:`brick_of` over column arrays.
 
         ``columns`` maps dimension names to equal-length integer arrays;
         returns the brick id per row. Domain violations raise, matching
         the scalar path.
         """
-        import numpy as np
-
         brick_ids = None
         for dim, stride in zip(self.schema.dimensions, self._strides):
             values = np.asarray(columns[dim.name])
@@ -103,20 +104,42 @@ class GranularIndex:
             return set(range(dim.bucket_of(low), dim.bucket_of(high) + 1))
         return set(range(dim.bucket_count))
 
+    def coordinates(self, brick_ids: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`brick_coordinates`: an ``(n, dimensions)``
+        array of bucket indexes, one row per brick id."""
+        ids = np.asarray(brick_ids, dtype=np.int64)
+        return np.stack(
+            [
+                (ids // stride) % count
+                for stride, count in zip(self._strides, self._bucket_counts)
+            ],
+            axis=1,
+        )
+
+    def matching(
+        self,
+        per_dimension_buckets: dict[str, set[int]],
+        coordinates: np.ndarray,
+    ) -> np.ndarray:
+        """Boolean mask over ``coordinates`` rows: inside the allowed
+        buckets on every constrained dimension."""
+        keep = np.ones(len(coordinates), dtype=bool)
+        for name, buckets in per_dimension_buckets.items():
+            axis = self._axis.get(name)
+            if axis is None:
+                raise QueryError(f"unknown dimension in filter: {name!r}")
+            allowed = np.zeros(self._bucket_counts[axis], dtype=bool)
+            allowed[np.fromiter(buckets, dtype=np.int64, count=len(buckets))] = True
+            keep &= allowed[coordinates[:, axis]]
+        return keep
+
     def prune(
         self,
         per_dimension_buckets: dict[str, set[int]],
         existing_bricks: Iterable[int],
-    ) -> Iterator[int]:
-        """Yield brick ids from ``existing_bricks`` whose coordinates fall
+    ) -> list[int]:
+        """Brick ids from ``existing_bricks`` whose coordinates fall
         inside the allowed buckets on every constrained dimension."""
-        dim_index = {d.name: i for i, d in enumerate(self.schema.dimensions)}
-        constraints: list[tuple[int, set[int]]] = []
-        for name, buckets in per_dimension_buckets.items():
-            if name not in dim_index:
-                raise QueryError(f"unknown dimension in filter: {name!r}")
-            constraints.append((dim_index[name], buckets))
-        for brick_id in existing_bricks:
-            coords = self.brick_coordinates(brick_id)
-            if all(coords[axis] in allowed for axis, allowed in constraints):
-                yield brick_id
+        ids = np.fromiter(existing_bricks, dtype=np.int64)
+        keep = self.matching(per_dimension_buckets, self.coordinates(ids))
+        return ids[keep].tolist()

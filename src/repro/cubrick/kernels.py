@@ -1,11 +1,12 @@
-"""Vectorised grouped-aggregation kernels for the brick scan.
+"""Vectorised grouped-aggregation kernels for the partition scan.
 
-The scan hot path (``PartitionStorage._scan_brick``) runs one of these
-kernels per aggregate instead of a per-group Python loop:
+The scan hot path (``PartitionStorage.execute`` over the partition's
+scan view) calls each of these kernels once per aggregate and partition
+instead of running a per-group Python loop:
 
 * Composite group keys are encoded into a single int64 code per row
-  (mixed-radix over the per-column value dictionaries). Columns that are
-  dictionary-encoded in the brick (:class:`EncodedColumn`) contribute
+  (mixed-radix over the per-column value dictionaries). Dimensions
+  dictionary-encoded by the partition (:class:`EncodedColumn`) contribute
   their pre-computed dense codes directly — no per-scan sort at all.
 * The dense group index is recovered from the codes by *dense bincount
   compaction* when the code space is small enough (one O(n + space)
@@ -24,7 +25,7 @@ kernels per aggregate instead of a per-group Python loop:
   the merge-friendly partial state that crosses node → coordinator.
 * Raw non-negative integer key columns whose ``max + 1`` is a dense code
   space are their own codes (dictionary ``arange(max + 1)``), so neither
-  a brick group-by nor the coordinator's key consolidation sorts keys
+  a partition group-by nor the coordinator's key consolidation sorts keys
   that are already small integers.
 
 Grouped SUM kernels accumulate in row order (``bincount`` adds weights
@@ -52,10 +53,10 @@ class EncodedColumn(NamedTuple):
     """A dictionary-encoded group-key column.
 
     ``codes[i]`` indexes into ``dictionary`` (sorted ascending), so
-    ``dictionary[codes]`` reconstructs the raw values. Bricks carry one
-    dictionary per encoded dimension; the scan hands the codes straight
-    to :func:`encode_group_keys`, skipping the per-scan ``np.unique``
-    sort a raw column would need.
+    ``dictionary[codes]`` reconstructs the raw values. A partition's scan
+    view carries one dictionary per encoded dimension; the scan hands the
+    codes straight to :func:`encode_group_keys`, skipping the per-scan
+    ``np.unique`` sort a raw column would need.
     """
 
     codes: np.ndarray
@@ -279,7 +280,7 @@ def grouped_state_arrays(
     n_groups: int,
     counts: np.ndarray | None = None,
 ):
-    """Array-form per-group states for one aggregate (one brick scan).
+    """Array-form per-group states for one aggregate (one partition scan).
 
     ``counts`` is the precomputed :func:`group_counts` output (shared by
     COUNT and AVG — pass it when either appears in the query); ``values``
@@ -319,7 +320,7 @@ def scalar_state(func: AggFunc, values: GroupColumn | None, matched: int):
     The same forms as :func:`grouped_state_arrays` for a single group.
     Uses numpy's standard reductions: for the single-group case a
     pairwise SIMD sum beats routing through :func:`group_sums`' one-bin
-    bincount by ~5x per brick.
+    bincount by ~5x.
     """
     if func is AggFunc.COUNT:
         return np.array([float(matched)])

@@ -288,7 +288,7 @@ def kernel_family(query: Query) -> str:
 
 @dataclass
 class _Block:
-    """Array-form per-group states from one brick scan (or a compaction).
+    """Array-form per-group states from one partition scan (or a compaction).
 
     ``keys`` is an ``(n_groups, n_key_cols)`` int64 array of distinct
     group keys in lexicographic order; an ungrouped query has no key
@@ -319,14 +319,14 @@ _COMPACT_THRESHOLD = 64
 class PartialResult:
     """Per-group aggregate states from one partition (or a merge).
 
-    States live in :class:`_Block` arrays from the brick scan to the
-    final rows. A brick scan appends its block without touching a Python
-    object per group (:meth:`accumulate_block`); partials merge by
-    concatenating block lists, consolidated lazily (dense re-encode +
+    States live in :class:`_Block` arrays from the partition scan to the
+    final rows. A partition scan appends its block without touching a
+    Python object per group (:meth:`accumulate_block`); partials merge
+    by concatenating block lists, consolidated lazily (dense re-encode +
     bincount/scatter kernels), so node→coordinator merges stay
     O(groups) array work. An ungrouped partial folds its blocks into one
-    before it merges, so its sums add brick by brick within a partition,
-    then partition by partition and host by host.
+    before it merges, so its sums add over a partition's rows, then
+    partition by partition and host by host.
     """
 
     query: Query
@@ -341,7 +341,7 @@ class PartialResult:
     _blocks: list[_Block] = field(default_factory=list, repr=False)
 
     def accumulate_block(self, keys: np.ndarray, states: list) -> None:
-        """Append one brick scan's array-form states."""
+        """Append one partition scan's array-form states."""
         self._blocks.append(_Block(keys=keys, states=states))
         if len(self._blocks) >= _COMPACT_THRESHOLD:
             self.block()

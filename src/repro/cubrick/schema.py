@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 PARTITION_SEPARATOR = "#"
 
-#: Dimensions at or above this cardinality default to per-brick
+#: Dimensions at or above this cardinality default to partition-level
 #: dictionary encoding (entity-style columns: users, devices, ads).
 #: Below it the raw int64 column is already compact enough that the
 #: dictionary would cost more than the per-scan ``np.unique`` it saves.
@@ -76,7 +76,7 @@ class Dimension:
     name: str
     cardinality: int
     range_size: int = 0  # 0 = one bucket spanning the whole domain
-    #: Per-brick dictionary encoding: True/False forces it on/off, None
+    #: Partition dictionary encoding: True/False forces it on/off, None
     #: defers to the cardinality heuristic (``DICT_ENCODE_THRESHOLD``).
     dict_encode: bool | None = None
 
@@ -95,7 +95,7 @@ class Dimension:
 
     @property
     def should_dict_encode(self) -> bool:
-        """Whether bricks keep a per-brick dictionary for this column."""
+        """Whether scans group this column by a partition dictionary."""
         if self.dict_encode is not None:
             return self.dict_encode
         return self.cardinality >= DICT_ENCODE_THRESHOLD
@@ -172,7 +172,7 @@ class TableSchema:
 
     @property
     def encoded_dimension_names(self) -> tuple[str, ...]:
-        """Dimensions bricks dictionary-encode (high-cardinality ones)."""
+        """Dimensions partitions dictionary-encode (high-cardinality ones)."""
         return tuple(d.name for d in self.dimensions if d.should_dict_encode)
 
     def dimension(self, name: str) -> Dimension:

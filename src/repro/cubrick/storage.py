@@ -2,21 +2,26 @@
 
 One :class:`PartitionStorage` holds the rows of a single table partition
 (``table#idx``) on one host, organised into bricks by the Granular
-Partitioning index. Query execution is fully vectorised: filters become
-boolean masks, composite group keys are encoded into a single int64 code
-per row, and the per-group aggregates run through the bincount/reduceat
-kernels of :mod:`repro.cubrick.kernels` — no per-group Python loop over
-row data. Every touched brick's hotness counter is bumped (feeding
-adaptive compression — paper §IV-F2).
+Partitioning index. A scan runs over the partition's
+:class:`~repro.cubrick.bricks.ScanView`, built lazily on the first scan
+after a change: pruning picks the surviving bricks from the view's bucket
+coordinates, their rows become one slice (or one gather index when they
+are not contiguous), and the query is one filter mask and one call to
+each kernel of :mod:`repro.cubrick.kernels` per partition — no per-brick
+or per-group Python loop over row data. Encoded dimensions hand the
+kernels codes of one partition-level dictionary. Every surviving brick's
+hotness counter is bumped once (feeding adaptive compression — paper
+§IV-F2).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.cubrick.bricks import DIMENSION_DTYPE, METRIC_DTYPE, Brick
+from repro.cubrick.bricks import DIMENSION_DTYPE, METRIC_DTYPE, Brick, ScanView
 from repro.cubrick.granular import GranularIndex
 from repro.cubrick.kernels import (
     EncodedColumn,
@@ -38,7 +43,7 @@ from repro.errors import QueryError
 if TYPE_CHECKING:
     from repro.obs import Observability
 
-#: The keys of an ungrouped brick scan's block: one group, no key columns.
+#: The keys of an ungrouped scan's block: one group, no key columns.
 _NO_KEY = np.empty((1, 0), dtype=np.int64)
 
 
@@ -62,7 +67,18 @@ class PartitionStorage:
         self.index = GranularIndex(schema)
         self._bricks: dict[int, Brick] = {}
         self._encoded_dims = frozenset(schema.encoded_dimension_names)
+        self._dtypes = {
+            **dict.fromkeys(schema.dimension_names, np.dtype(DIMENSION_DTYPE)),
+            **dict.fromkeys(schema.metric_names, np.dtype(METRIC_DTYPE)),
+        }
         self._rows = 0
+        #: The scan view, ``None`` once any brick changed since its build.
+        self._view: Optional[ScanView] = None
+        #: Whether bricks may hold slices of a view's columns (cleared
+        #: when a compression makes them copy their rows out).
+        self._sliced = False
+        #: Held weakly by every brick, so bricks keep no partition alive.
+        self._on_brick_change = weakref.WeakMethod(self._brick_changed)
         if obs is not None:
             metrics = obs.metrics
             self._scanned_counter = metrics.counter(
@@ -124,8 +140,8 @@ class PartitionStorage:
                     brick_id,
                     self.schema.dimension_names,
                     self.schema.metric_names,
-                    encoded_dimensions=self.schema.encoded_dimension_names,
                 )
+                brick.on_change = self._on_brick_change
                 self._bricks[brick_id] = brick
             rows_slice = order[start:end]
             chunk = {
@@ -139,6 +155,27 @@ class PartitionStorage:
         if self._rows_inserted_counter is not None:
             self._rows_inserted_counter.inc(n)
         return n
+
+    def _brick_changed(self, released: bool) -> None:
+        """A brick's in-memory columns changed: the view is stale. When
+        the brick released memory, every brick copies its rows out of
+        the old view so the view's arrays are freed now, not at the
+        next scan."""
+        self._view = None
+        if released and self._sliced:
+            self._sliced = False
+            for brick in self._bricks.values():
+                brick.detach()
+
+    def scan_view(self) -> ScanView:
+        """The partition's scan view, built here if stale."""
+        view = self._view
+        if view is None:
+            bricks = self.bricks()
+            coords = self.index.coordinates([b.brick_id for b in bricks])
+            view = self._view = ScanView(bricks, coords, self._dtypes)
+            self._sliced = True
+        return view
 
     # ------------------------------------------------------------------
     # Introspection
@@ -186,7 +223,9 @@ class PartitionStorage:
         — the Granular Partitioning pruning decision, without executing
         or touching hotness counters.
         """
-        candidates = self.candidate_brick_ids(query)
+        candidates = self.index.prune(
+            self._filter_buckets(query.filters), sorted(self._bricks)
+        )
         rows = sum(self._bricks[bid].rows for bid in candidates)
         return {
             "bricks_total": len(self._bricks),
@@ -215,22 +254,52 @@ class PartitionStorage:
         effective_lookups = lookups if lookups is not None else {}
         self._validate_query(query, effective_lookups)
         partial = PartialResult(query=query)
-        for brick_id in self.candidate_brick_ids(query):
-            brick = self._bricks[brick_id]
-            brick.touch()
-            partial.bricks_scanned += 1
-            self._scan_brick(brick, query, partial, effective_lookups)
+        view, rows, n, partial.bricks_scanned = self._surviving_rows(
+            query.filters
+        )
+        partial.rows_scanned = n
+        if n:
+            self._aggregate(view, rows, n, query, partial, effective_lookups)
         if self._scanned_counter is not None:
             self._scanned_counter.inc(partial.bricks_scanned)
             self._pruned_counter.inc(len(self._bricks) - partial.bricks_scanned)
             self._rows_scanned_counter.inc(partial.rows_scanned)
         return partial
 
-    def candidate_brick_ids(self, query: Query) -> list[int]:
-        """Brick ids surviving Granular Partitioning pruning, in id order;
-        scanning them in id order keeps results deterministic."""
-        buckets = self._filter_buckets(query.filters)
-        return list(self.index.prune(buckets, sorted(self._bricks)))
+    def _surviving_rows(
+        self, filters: tuple[Filter, ...]
+    ) -> tuple[ScanView, "slice | np.ndarray", int, int]:
+        """Granular Partitioning pruning against the view's coordinates.
+
+        Touches every surviving brick once and loads any that are
+        compressed or evicted. Returns ``(view, rows, n_rows,
+        n_bricks)``: ``rows`` selects the survivors' rows in brick-id
+        order (a slice, or a gather index when they are not contiguous).
+        """
+        view = self.scan_view()
+        buckets = self._filter_buckets(filters)
+        if buckets:
+            positions = np.flatnonzero(
+                self.index.matching(buckets, view.coords)
+            ).tolist()
+            survivors = [view.bricks[i] for i in positions]
+        else:  # nothing to prune: every brick survives
+            positions = None
+            survivors = view.bricks
+        cold = []
+        for brick in survivors:
+            brick.touch()
+            if not brick.is_resident:
+                cold.append(brick)
+        if cold:
+            for brick in cold:
+                brick.decompress()
+            view = self.scan_view()
+        if positions is None:
+            return view, slice(0, view.rows), view.rows, len(survivors)
+        rows = view.rows_of(positions)
+        n = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+        return view, rows, n, len(survivors)
 
     def project(
         self, columns: list[str], filters: tuple[Filter, ...] = ()
@@ -260,32 +329,13 @@ class PartitionStorage:
                     f"table {self.schema.name}: unknown filter dimension "
                     f"{flt.dimension!r}"
                 )
-        buckets = self._filter_buckets(tuple(filters))
-        candidates = self.index.prune(buckets, sorted(self._bricks))
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in columns}
-        for brick_id in candidates:
-            brick = self._bricks[brick_id]
-            if brick.rows == 0:
-                continue
-            brick.touch()
-            arrays = brick.columns()
-            mask = self._build_mask(arrays, tuple(filters), brick.rows, {})
-            unmasked = bool(mask.all())
-            for name in columns:
-                values = arrays[name]
-                parts[name].append(values if unmasked else values[mask])
-        out: dict[str, np.ndarray] = {}
-        for name in columns:
-            if parts[name]:
-                out[name] = np.concatenate(parts[name])
-            else:
-                dtype = (
-                    DIMENSION_DTYPE
-                    if self.schema.has_dimension(name)
-                    else METRIC_DTYPE
-                )
-                out[name] = np.empty(0, dtype=dtype)
-        return out
+        view, rows, __, __ = self._surviving_rows(tuple(filters))
+        pick = _picker(view, rows, {})
+        mask = self._build_mask(pick, tuple(filters))
+        return {
+            name: pick(name) if mask is None else pick(name)[mask]
+            for name in columns
+        }
 
     def _validate_query(
         self, query: Query, lookups: dict[str, tuple[str, np.ndarray]]
@@ -350,31 +400,32 @@ class PartitionStorage:
                 buckets[flt.dimension] = allowed
         return buckets
 
-    def _scan_brick(self, brick: Brick, query: Query, partial: PartialResult,
-                    lookups: dict[str, tuple[str, np.ndarray]]) -> None:
-        if brick.rows == 0:
-            return
-        arrays = brick.columns()
-        mask = self._build_mask(arrays, query.filters, brick.rows, lookups)
+    def _aggregate(self, view: ScanView, rows, n: int, query: Query,
+                   partial: PartialResult,
+                   lookups: dict[str, tuple[str, np.ndarray]]) -> None:
+        """One filter mask and one call to each kernel over the rows."""
+        pick = _picker(view, rows, lookups)
+        mask = self._build_mask(pick, query.filters)
         # Inner-join semantics: rows whose key misses the dimension table
         # are dropped whenever the query references a joined column.
         for name in query.joined_columns():
-            values = self._resolve_column(name, arrays, lookups)
-            mask &= values >= 0
-        matched = int(mask.sum())
-        partial.rows_scanned += brick.rows
+            joined = pick(name) >= 0
+            mask = joined if mask is None else mask & joined
+        matched = n if mask is None else int(np.count_nonzero(mask))
         if matched == 0:
             return
-        unmasked = matched == brick.rows
+        unmasked = matched == n
 
         def column(name: str):
             # Dictionary-encoded dimensions hand the scan their dense
-            # per-brick codes — no per-scan np.unique sort downstream.
+            # partition-level codes — no per-scan np.unique sort.
             if "." not in name and name in self._encoded_dims:
-                enc = brick.encoded(name)
-                codes = enc.codes if unmasked else enc.codes[mask]
-                return EncodedColumn(codes, enc.dictionary)
-            values = self._resolve_column(name, arrays, lookups)
+                enc = view.encoded(name)
+                codes = enc.codes[rows]
+                return EncodedColumn(
+                    codes if unmasked else codes[mask], enc.dictionary
+                )
+            values = pick(name)
             return values if unmasked else values[mask]
 
         # Metric columns are masked at most once even when aggregated
@@ -415,31 +466,36 @@ class PartitionStorage:
         ])
 
     @staticmethod
-    def _resolve_column(
-        name: str,
-        arrays: dict[str, np.ndarray],
-        lookups: dict[str, tuple[str, np.ndarray]],
-    ) -> np.ndarray:
-        """Column values for a plain or joined (dotted) reference."""
-        if "." in name:
-            fact_key, lookup = lookups[name]
-            return lookup[arrays[fact_key]]
-        return arrays[name]
-
-    @classmethod
-    def _build_mask(cls, arrays: dict[str, np.ndarray],
-                    filters: tuple[Filter, ...], rows: int,
-                    lookups: dict[str, tuple[str, np.ndarray]]) -> np.ndarray:
-        mask = np.ones(rows, dtype=bool)
+    def _build_mask(
+        column, filters: tuple[Filter, ...]
+    ) -> Optional[np.ndarray]:
+        """The rows passing every filter; ``None`` when there is none."""
+        mask = None
         for flt in filters:
-            column = cls._resolve_column(flt.dimension, arrays, lookups)
+            values = column(flt.dimension)
             if flt.op is FilterOp.EQ:
-                mask &= column == flt.values[0]
+                passed = values == flt.values[0]
             elif flt.op is FilterOp.IN:
-                mask &= np.isin(column, np.asarray(flt.values))
+                passed = np.isin(values, np.asarray(flt.values))
             elif flt.op is FilterOp.NOT_IN:
-                mask &= ~np.isin(column, np.asarray(flt.values))
+                passed = ~np.isin(values, np.asarray(flt.values))
             else:  # BETWEEN
-                mask &= (column >= flt.values[0]) & (column <= flt.values[1])
+                passed = (values >= flt.values[0]) & (values <= flt.values[1])
+            mask = passed if mask is None else mask & passed
         return mask
 
+
+def _picker(view: ScanView, rows, lookups: dict[str, tuple[str, np.ndarray]]):
+    """``pick(name)``: a plain column's selected rows (gathered at most
+    once), or a joined (dotted) column's values through its lookup."""
+    picked: dict[str, np.ndarray] = {}
+
+    def pick(name: str) -> np.ndarray:
+        if "." in name:
+            fact_key, lookup = lookups[name]
+            return lookup[pick(fact_key)]
+        if name not in picked:
+            picked[name] = view.columns[name][rows]
+        return picked[name]
+
+    return pick

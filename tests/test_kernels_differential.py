@@ -25,6 +25,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.cubrick.storage as storage_module
+from repro.cubrick.kernels import EncodedColumn
 from repro.cubrick.query import (
     AggFunc,
     Aggregation,
@@ -395,7 +397,7 @@ ENCODED_SCHEMA = TableSchema.build(
         Dimension("day", 30, range_size=5),
         Dimension("country", 50, range_size=10),
         # Forced below the cardinality heuristic: every scan of `user`
-        # goes through the per-brick dictionary codes.
+        # goes through the partition dictionary's codes.
         Dimension("user", 200, range_size=40, dict_encode=True),
     ],
     metrics=[Metric("clicks"), Metric("cost")],
@@ -414,8 +416,8 @@ def loaded_encoded():
         "cost": rng.integers(0, 800, size=ROWS) / 8.0,
     }
     storage.insert_columns(columns)
-    # One-row loads after the bulk load: the per-brick dictionaries must
-    # extend incrementally instead of going stale.
+    # One-row loads after the bulk load: the scan view and its partition
+    # dictionaries must follow them instead of going stale.
     for __ in range(100):
         insert_rows(storage, [
             {
@@ -430,16 +432,26 @@ def loaded_encoded():
     return storage, _build_lookups(rng)
 
 
-def test_encoded_dimension_is_actually_encoded(loaded_encoded):
+def test_encoded_dimension_is_actually_encoded(loaded_encoded, monkeypatch):
     storage, lookups = loaded_encoded
     query = Query.build(
         "facts_enc", [Aggregation(AggFunc.SUM, "cost")], group_by=["user"]
     )
+    keys = []
+    encode = storage_module.encode_group_keys
+
+    def spy(columns):
+        keys.append(columns)
+        return encode(columns)
+
+    monkeypatch.setattr(storage_module, "encode_group_keys", spy)
     _assert_identical(storage, query, lookups)
-    # The scan above must have materialised user dictionaries.
-    stats = [b.stats() for b in storage.bricks()]
-    assert any(s.encoded_columns > 0 for s in stats)
-    assert any(s.dictionary_entries > 0 for s in stats)
+    # The scan above grouped on codes of the partition's user dictionary.
+    [[user]] = keys
+    assert isinstance(user, EncodedColumn)
+    column = storage.scan_view().columns["user"]
+    assert np.array_equal(user.dictionary, np.unique(column))
+    assert np.array_equal(user.dictionary[user.codes], column)
 
 
 def test_encoded_group_by_and_distinct_match_reference(loaded_encoded):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import CubrickDeployment, DeploymentConfig
-from repro.errors import ConfigurationError, QueryFailedError
+from repro.errors import (
+    ConfigurationError,
+    QueryFailedError,
+    ShardMappingUnknownError,
+)
+from repro.sim.rng import derive_seed
 from repro.sim.latency import HiccupModel, LogNormalTailLatency
 from repro.smc.registry import ServiceDiscovery
 from repro.workloads.fanout_experiment import probe_schema
@@ -65,6 +70,41 @@ class TestPerClientVisibility:
                 ]
             )
         assert views[0] == views[1]
+
+    def test_resolve_matches_fresh_rng_visibility(self):
+        """Memoised visibility agrees with drawing each client's delay
+        from a fresh rng, before, inside and after each stale window."""
+        discovery = ServiceDiscovery(rng=np.random.default_rng(11))
+        entries = [
+            discovery.publish(1, host, now=written)
+            for host, written in (("hostA", 0.0), ("hostB", 40.0),
+                                  (None, 41.0), ("hostC", 90.0))
+        ]
+
+        def fresh_visible_at(entry, client):
+            rng = np.random.default_rng(
+                derive_seed(entry.version, f"smc-client:{client}")
+            )
+            return entry.written_at + discovery.tree.sample_delay(rng)
+
+        times = np.concatenate([
+            np.linspace(0.0, 140.0, 57),
+            [e.written_at + d for e in entries for d in (0.5, 2.0, 5.0)],
+        ])
+        for client in [f"c{i}" for i in range(12)]:
+            for now in times:
+                visible = [
+                    e for e in entries if fresh_visible_at(e, client) <= now
+                ]
+                for __ in range(2):  # the second call reads the memo
+                    if not visible:
+                        with pytest.raises(ShardMappingUnknownError):
+                            discovery.resolve(1, now, client_id=client)
+                    else:
+                        assert discovery.resolve(
+                            1, now, client_id=client
+                        ) == visible[-1].host_id
+        assert len(discovery._client_visible) <= len(entries) * 12
 
 
 class TestDeadline:
