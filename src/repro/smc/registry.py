@@ -57,10 +57,6 @@ class ServiceDiscovery:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._history: dict[int, _ShardHistory] = {}
         self._version = 0
-        #: Per-client visibility times by ``(version, client)``: a pure
-        #: function of both (the tree is fixed), so at most one entry per
-        #: assignment and client.
-        self._client_visible: dict[tuple[int, str], float] = {}
         self.propagation_delays: list[float] = []  # Figure 4c raw samples
         self.obs = obs if obs is not None else Observability()
         # Eagerly created so snapshots always show the SMC instruments,
@@ -160,15 +156,10 @@ class ServiceDiscovery:
                     client_id: Optional[str]) -> float:
         if client_id is None:
             return entry.visible_at
-        key = (entry.version, client_id)
-        visible_at = self._client_visible.get(key)
-        if visible_at is None:
-            rng = np.random.default_rng(
-                derive_seed(entry.version, f"smc-client:{client_id}")
-            )
-            visible_at = entry.written_at + self.tree.sample_delay(rng)
-            self._client_visible[key] = visible_at
-        return visible_at
+        rng = np.random.default_rng(
+            derive_seed(entry.version, f"smc-client:{client_id}")
+        )
+        return entry.written_at + self.tree.sample_delay(rng)
 
     def is_stale(self, shard_id: int, now: float) -> bool:
         """True while clients may still read an outdated mapping."""
